@@ -57,20 +57,27 @@ pub fn apply_sfo(signal: &[Complex64], ppm: f64) -> Vec<Complex64> {
 /// (a late detection sees the packet start later in its buffer), the
 /// fractional part is a sub-sample interpolation.
 pub fn apply_timing_offset(signal: &[Complex64], offset: f64) -> Vec<Complex64> {
+    let mut out = Vec::new();
+    apply_timing_offset_into(signal, offset, &mut out);
+    out
+}
+
+/// [`apply_timing_offset`] into a caller-owned vector (cleared first; its
+/// capacity is reused). An integer offset allocates nothing.
+pub fn apply_timing_offset_into(signal: &[Complex64], offset: f64, out: &mut Vec<Complex64>) {
     assert!(
         offset >= 0.0,
         "negative timing offsets are expressed by trimming"
     );
     let int = offset.floor() as usize;
     let frac = offset - int as f64;
-    let shifted = if frac > 1e-12 {
-        fractional_delay(signal, frac, 16)
+    out.clear();
+    out.resize(int, Complex64::ZERO);
+    if frac > 1e-12 {
+        out.extend(fractional_delay(signal, frac, 16));
     } else {
-        signal.to_vec()
-    };
-    let mut out = vec![Complex64::ZERO; int];
-    out.extend(shifted);
-    out
+        out.extend_from_slice(signal);
+    }
 }
 
 /// Transmit IQ imbalance: gain mismatch `epsilon` (linear, e.g. 0.05 = 5%)

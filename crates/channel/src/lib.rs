@@ -32,5 +32,5 @@ pub mod tgn;
 pub use doppler::{JakesProcess, TimeVaryingChannel};
 pub use fading::{MimoChannelMatrix, TappedDelayLine};
 pub use faults::{FaultEvent, FaultKind, FaultReport, FaultSchedule, FaultSpec};
-pub use sim::{ChannelConfig, ChannelSim, ChannelTruth, Fading};
+pub use sim::{ChannelConfig, ChannelSim, ChannelTruth, ChannelWorkspace, Fading};
 pub use tgn::TgnModel;

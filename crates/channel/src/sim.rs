@@ -11,14 +11,15 @@
 use crate::doppler::TimeVaryingChannel;
 use crate::fading::{MimoChannelMatrix, TappedDelayLine};
 use crate::impairments::{
-    apply_cfo, apply_dc_offset, apply_iq_imbalance, apply_sfo, apply_timing_offset, quantize,
+    apply_cfo, apply_dc_offset, apply_iq_imbalance, apply_sfo, apply_timing_offset_into, quantize,
 };
-use crate::noise::{add_awgn, noise_power_for_snr_db};
+use crate::noise::{add_awgn, crandn, noise_power_for_snr_db};
 use crate::tgn::TgnModel;
 use mimonet_dsp::complex::Complex64;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cell::RefCell;
 
 /// Fading model selection.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -114,6 +115,89 @@ pub struct ChannelTruth {
     pub noise_power: f64,
 }
 
+/// Which fading the last frame through a [`ChannelWorkspace`] drew.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum Realized {
+    #[default]
+    Nothing,
+    Flat,
+    TappedDelayLine,
+    TimeVarying,
+}
+
+/// Reusable scratch memory for [`ChannelSim::apply_into`]: the frame's
+/// fading realization, the TGn power-delay profile and an impairment
+/// staging buffer, following the receiver's `RxWorkspace` idiom.
+/// Construction is cheap (empty vectors); buffers grow on first use,
+/// after which a frame through an ideal, flat-Rayleigh or TGn channel
+/// with integer timing offset and no SFO allocates nothing. It also keeps
+/// the last frame's ground truth ([`Self::truth`]).
+#[derive(Clone, Debug, Default)]
+pub struct ChannelWorkspace {
+    n_rx: usize,
+    n_tx: usize,
+    realized: Realized,
+    /// Flat channel matrix, row-major `[rx][tx]`.
+    flat: Vec<Complex64>,
+    /// The model `tap_gains` was computed for.
+    pdp_model: Option<TgnModel>,
+    /// Per-tap amplitude `sqrt(p / total)` of the power-delay profile.
+    tap_gains: Vec<f64>,
+    /// Impulse responses, `taps[(rx * n_tx + tx) * n_taps + delay]`.
+    taps: Vec<Complex64>,
+    /// Staging buffer for impairments that move samples.
+    scratch: Vec<Complex64>,
+    cfo_norm: f64,
+    timing_offset: f64,
+    noise_power: f64,
+}
+
+impl ChannelWorkspace {
+    /// An empty workspace.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The ground truth of the last frame (builds the channel matrices).
+    pub fn truth(&self) -> ChannelTruth {
+        let flat = (self.realized == Realized::Flat)
+            .then(|| MimoChannelMatrix::new(self.n_rx, self.n_tx, self.flat.clone()));
+        let tdl = (self.realized == Realized::TappedDelayLine).then(|| {
+            let n_taps = self.tap_gains.len();
+            let mut irs = self.taps.chunks(n_taps).map(<[Complex64]>::to_vec);
+            TappedDelayLine::new(
+                (0..self.n_rx)
+                    .map(|_| irs.by_ref().take(self.n_tx).collect())
+                    .collect(),
+            )
+        });
+        ChannelTruth {
+            flat,
+            tdl,
+            cfo_norm: self.cfo_norm,
+            timing_offset: self.timing_offset,
+            noise_power: self.noise_power,
+        }
+    }
+
+    /// Caches the tap amplitudes of `model`'s power-delay profile.
+    fn prepare_pdp(&mut self, model: TgnModel) {
+        if self.pdp_model == Some(model) {
+            return;
+        }
+        let pdp = model.pdp();
+        let total: f64 = pdp.iter().sum();
+        self.tap_gains.clear();
+        self.tap_gains
+            .extend(pdp.iter().map(|&p| (p / total).sqrt()));
+        self.pdp_model = Some(model);
+    }
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<ChannelWorkspace> = RefCell::new(ChannelWorkspace::new());
+}
+
 /// The seeded channel simulator.
 #[derive(Clone, Debug)]
 pub struct ChannelSim {
@@ -146,77 +230,152 @@ impl ChannelSim {
     /// drawing a fresh fading realization, and returns the per-RX-antenna
     /// streams plus the ground truth.
     pub fn apply(&mut self, tx: &[Vec<Complex64>]) -> (Vec<Vec<Complex64>>, ChannelTruth) {
-        assert_eq!(
-            tx.len(),
-            self.cfg.n_tx,
-            "expected {} TX streams",
-            self.cfg.n_tx
-        );
+        WORKSPACE.with(|ws| {
+            let ws = &mut ws.borrow_mut();
+            let mut rx = Vec::new();
+            self.apply_into(tx, ws, &mut rx);
+            (rx, ws.truth())
+        })
+    }
 
-        // 1. Fading.
-        let (mut rx, flat, tdl) = match self.cfg.fading {
-            Fading::Ideal => {
-                let ch = MimoChannelMatrix::identity(self.cfg.n_tx);
-                (ch.apply(tx), Some(ch), None)
-            }
-            Fading::RayleighFlat => {
-                let ch =
-                    MimoChannelMatrix::rayleigh_flat(&mut self.rng, self.cfg.n_rx, self.cfg.n_tx);
-                (ch.apply(tx), Some(ch), None)
+    /// [`Self::apply`] writing the per-RX-antenna streams into `out`
+    /// (resized to `n_rx` streams, each overwritten; capacities are
+    /// reused) with scratch from `ws`, which also keeps the frame's ground
+    /// truth. Consumes exactly the random draws [`Self::apply`] does, so
+    /// the two are interchangeable mid-stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tx.len() != n_tx` or the TX streams differ in length.
+    pub fn apply_into<S: AsRef<[Complex64]>>(
+        &mut self,
+        tx: &[S],
+        ws: &mut ChannelWorkspace,
+        out: &mut Vec<Vec<Complex64>>,
+    ) {
+        let (n_rx, n_tx) = (self.cfg.n_rx, self.cfg.n_tx);
+        assert_eq!(tx.len(), n_tx, "expected {n_tx} TX streams");
+        let len = tx.first().map_or(0, |s| s.as_ref().len());
+        assert!(
+            tx.iter().all(|s| s.as_ref().len() == len),
+            "TX stream lengths differ"
+        );
+        out.resize_with(n_rx, Vec::new);
+        ws.n_rx = n_rx;
+        ws.n_tx = n_tx;
+
+        // 1. Fading. Every output sample accumulates its TX terms from
+        //    zero in TX order, exactly as `MimoChannelMatrix::apply`,
+        //    `TappedDelayLine::apply` and `TimeVaryingChannel::apply` do.
+        match self.cfg.fading {
+            Fading::Ideal | Fading::RayleighFlat => {
+                ws.flat.clear();
+                if self.cfg.fading == Fading::Ideal {
+                    ws.flat.extend((0..n_rx * n_tx).map(|i| {
+                        if i / n_tx == i % n_tx {
+                            Complex64::ONE
+                        } else {
+                            Complex64::ZERO
+                        }
+                    }));
+                } else {
+                    for _ in 0..n_rx * n_tx {
+                        ws.flat.push(crandn(&mut self.rng));
+                    }
+                }
+                ws.realized = Realized::Flat;
+                for (y, h_row) in out.iter_mut().zip(ws.flat.chunks_exact(n_tx)) {
+                    y.clear();
+                    y.resize(len, Complex64::ZERO);
+                    for (&h, x) in h_row.iter().zip(tx) {
+                        for (yi, &xi) in y.iter_mut().zip(x.as_ref()) {
+                            *yi += h * xi;
+                        }
+                    }
+                }
             }
             Fading::Tgn(model) => {
-                let ch = model.realize(&mut self.rng, self.cfg.n_rx, self.cfg.n_tx);
-                (ch.apply(tx), None, Some(ch))
+                ws.prepare_pdp(model);
+                ws.taps.clear();
+                for _ in 0..n_rx * n_tx {
+                    for &g in &ws.tap_gains {
+                        ws.taps.push(crandn(&mut self.rng).scale(g));
+                    }
+                }
+                ws.realized = Realized::TappedDelayLine;
+                let n_taps = ws.tap_gains.len();
+                for (y, h_row) in out.iter_mut().zip(ws.taps.chunks_exact(n_tx * n_taps)) {
+                    y.clear();
+                    y.resize(len + n_taps - 1, Complex64::ZERO);
+                    if len == 0 {
+                        continue;
+                    }
+                    for (h, x) in h_row.chunks_exact(n_taps).zip(tx) {
+                        // Output-major convolution; each output's terms
+                        // arrive in input order, as in `filter::convolve`.
+                        let x = x.as_ref();
+                        for (k, yk) in y.iter_mut().enumerate() {
+                            let mut acc = Complex64::ZERO;
+                            for i in k.saturating_sub(n_taps - 1)..=k.min(len - 1) {
+                                acc += x[i] * h[k - i];
+                            }
+                            *yk += acc;
+                        }
+                    }
+                }
             }
             Fading::Jakes { fd_norm } => {
-                let mut ch =
-                    TimeVaryingChannel::new(&mut self.rng, self.cfg.n_rx, self.cfg.n_tx, fd_norm);
-                (ch.apply(tx), None, None)
+                let ch = TimeVaryingChannel::new(&mut self.rng, n_rx, n_tx, fd_norm);
+                ws.realized = Realized::TimeVarying;
+                for (r, y) in out.iter_mut().enumerate() {
+                    y.clear();
+                    y.extend((0..len).map(|n| {
+                        let mut acc = Complex64::ZERO;
+                        for (t, x) in tx.iter().enumerate() {
+                            acc += ch.gain(r, t, n as u64) * x.as_ref()[n];
+                        }
+                        acc
+                    }));
+                }
             }
-        };
+        }
 
         // 2. Receiver clock/oscillator impairments: identical across RX
         //    chains (one LO and one sampling clock per device, as on a
-        //    USRP with a shared daughterboard clock).
+        //    USRP with a shared daughterboard clock). 3. Noise and
+        //    quantization.
         let phase0 = self.rng.gen::<f64>() * 2.0 * std::f64::consts::PI;
-        for stream in rx.iter_mut() {
-            let mut s = apply_timing_offset(stream, self.cfg.timing_offset);
-            if self.cfg.sfo_ppm != 0.0 {
-                s = apply_sfo(&s, self.cfg.sfo_ppm);
-            }
-            if self.cfg.cfo_norm != 0.0 {
-                apply_cfo(&mut s, self.cfg.cfo_norm, phase0);
-            }
-            if self.cfg.iq_epsilon != 0.0 || self.cfg.iq_phi != 0.0 {
-                apply_iq_imbalance(&mut s, self.cfg.iq_epsilon, self.cfg.iq_phi);
-            }
-            if self.cfg.dc_offset != Complex64::ZERO {
-                apply_dc_offset(&mut s, self.cfg.dc_offset);
-            }
-            *stream = s;
-        }
-
-        // 3. Noise and quantization.
         let noise_power = if self.cfg.snr_db.is_finite() {
             noise_power_for_snr_db(self.cfg.snr_db)
         } else {
             0.0
         };
-        for stream in rx.iter_mut() {
-            add_awgn(&mut self.rng, stream, noise_power);
+        for s in out.iter_mut() {
+            if self.cfg.timing_offset != 0.0 {
+                apply_timing_offset_into(s, self.cfg.timing_offset, &mut ws.scratch);
+                s.clear();
+                s.extend_from_slice(&ws.scratch);
+            }
+            if self.cfg.sfo_ppm != 0.0 {
+                *s = apply_sfo(s, self.cfg.sfo_ppm);
+            }
+            if self.cfg.cfo_norm != 0.0 {
+                apply_cfo(s, self.cfg.cfo_norm, phase0);
+            }
+            if self.cfg.iq_epsilon != 0.0 || self.cfg.iq_phi != 0.0 {
+                apply_iq_imbalance(s, self.cfg.iq_epsilon, self.cfg.iq_phi);
+            }
+            if self.cfg.dc_offset != Complex64::ZERO {
+                apply_dc_offset(s, self.cfg.dc_offset);
+            }
+            add_awgn(&mut self.rng, s, noise_power);
             if let Some(bits) = self.cfg.adc_bits {
-                quantize(stream, bits, self.cfg.adc_full_scale);
+                quantize(s, bits, self.cfg.adc_full_scale);
             }
         }
-
-        let truth = ChannelTruth {
-            flat,
-            tdl,
-            cfo_norm: self.cfg.cfo_norm,
-            timing_offset: self.cfg.timing_offset,
-            noise_power,
-        };
-        (rx, truth)
+        ws.cfo_norm = self.cfg.cfo_norm;
+        ws.timing_offset = self.cfg.timing_offset;
+        ws.noise_power = noise_power;
     }
 }
 
@@ -325,6 +484,47 @@ mod tests {
         let (r1, _) = s1.apply(&tx);
         let (r2, _) = s2.apply(&tx);
         assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn apply_into_fading_matches_the_model_apply() {
+        // Noiseless, impairment-free: the output is the fading alone, and
+        // must equal the realized model's own `apply` bit for bit.
+        let tx: Vec<Vec<C64>> = (0..2)
+            .map(|t| {
+                (0..300)
+                    .map(|i| C64::new((i * 7 + t) as f64 % 13.0 - 6.0, (i % 5) as f64 * -0.5))
+                    .collect()
+            })
+            .collect();
+        let mut ws = ChannelWorkspace::new();
+        let mut out = Vec::new();
+        for (n_rx, fading) in [
+            (2, Fading::Ideal),
+            (3, Fading::RayleighFlat),
+            (3, Fading::Tgn(TgnModel::D)),
+            (2, Fading::Tgn(TgnModel::E)),
+            (3, Fading::Jakes { fd_norm: 1e-4 }),
+        ] {
+            let cfg = ChannelConfig {
+                fading,
+                ..ChannelConfig::clean(2, n_rx)
+            };
+            let mut sim = ChannelSim::new(cfg, 8);
+            for _ in 0..2 {
+                let mut rng = sim.rng.clone();
+                sim.apply_into(&tx, &mut ws, &mut out);
+                let truth = ws.truth();
+                let want = match fading {
+                    Fading::Ideal | Fading::RayleighFlat => truth.flat.unwrap().apply(&tx),
+                    Fading::Tgn(_) => truth.tdl.unwrap().apply(&tx),
+                    Fading::Jakes { fd_norm } => {
+                        TimeVaryingChannel::new(&mut rng, n_rx, 2, fd_norm).apply(&tx)
+                    }
+                };
+                assert_eq!(out, want, "{fading:?}");
+            }
+        }
     }
 
     #[test]

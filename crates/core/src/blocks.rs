@@ -43,7 +43,7 @@ pub const LEAD_OUT: usize = 80;
 
 /// Samples per frame burst (frame + lead-in + lead-out) for a PSDU size.
 pub fn frame_burst_len(tx_cfg: &TxConfig, psdu_len: usize) -> usize {
-    Transmitter::new(tx_cfg.clone()).frame_len(psdu_len) + LEAD_IN + LEAD_OUT
+    crate::tx::frame_len(tx_cfg.mcs, psdu_len) + LEAD_IN + LEAD_OUT
 }
 
 /// Byte stream in (whole PSDUs), per-antenna sample bursts out.

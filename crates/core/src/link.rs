@@ -6,8 +6,8 @@ use crate::config::{RxConfig, TxConfig};
 use crate::metrics::{BerCounter, PerCounter, RecoveryCounter};
 use crate::rx::{Receiver, RxBatch, RxError, RxFrame};
 use crate::telemetry::{FrameOutcomes, StageProfile};
-use crate::tx::Transmitter;
-use mimonet_channel::{ChannelConfig, ChannelSim, ChannelTruth};
+use crate::tx::{Transmitter, TxWorkspace};
+use mimonet_channel::{ChannelConfig, ChannelSim, ChannelWorkspace, Fading};
 use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::stats::Running;
 use mimonet_frame::psdu::Mpdu;
@@ -124,6 +124,14 @@ pub struct LinkSim {
     seq: u16,
     /// Recycled multi-frame RX state for [`Self::run_batch`].
     batch: RxBatch,
+    /// Recycled TX/channel scratch and buffers: frame generation
+    /// allocates only the payload and PSDU.
+    tx_ws: TxWorkspace,
+    chan_ws: ChannelWorkspace,
+    /// Per-TX-antenna burst: lead-in, frame, lead-out.
+    burst: Vec<Vec<Complex64>>,
+    /// Per-frame RX captures of the current batch.
+    captures: Vec<Vec<Vec<Complex64>>>,
 }
 
 impl LinkSim {
@@ -149,6 +157,10 @@ impl LinkSim {
             rng: ChaCha8Rng::seed_from_u64(seed),
             seq: 0,
             batch: RxBatch::new(),
+            tx_ws: TxWorkspace::new(),
+            chan_ws: ChannelWorkspace::new(),
+            burst: Vec::new(),
+            captures: Vec::new(),
         }
     }
 
@@ -171,43 +183,52 @@ impl LinkSim {
     /// [`Self::run_frame`] with RX-stage timing spans recorded into
     /// `profile` (see [`crate::Receiver::receive_profiled`]).
     pub fn run_frame_profiled(&mut self, stats: &mut LinkStats, profile: &mut StageProfile) {
-        let (psdu, payload, rx_streams, truth) = self.next_tx_frame();
-        let res = self.rx.receive_profiled(&rx_streams, profile);
-        self.record_outcome(stats, &psdu, &payload, &truth, res.as_ref());
+        let mut captures = std::mem::take(&mut self.captures);
+        captures.resize_with(1, Vec::new);
+        let (psdu, payload) = self.next_tx_frame(&mut captures[0]);
+        let res = self.rx.receive_profiled(&captures[0], profile);
+        self.record_outcome(stats, &psdu, &payload, res.as_ref());
+        self.captures = captures;
     }
 
-    /// Draws the next frame from the seeded TX side: payload, PSDU,
-    /// channel-faded per-antenna captures and the channel's ground truth.
-    /// Consumes exactly the RNG draws [`Self::run_frame`] would.
-    #[allow(clippy::type_complexity)]
-    fn next_tx_frame(&mut self) -> (Vec<u8>, Vec<u8>, Vec<Vec<Complex64>>, ChannelTruth) {
+    /// Draws the next frame from the seeded TX side: returns the PSDU and
+    /// payload and writes the channel-faded per-antenna captures into
+    /// `capture`. Consumes exactly the RNG draws [`Self::run_frame`] would.
+    fn next_tx_frame(&mut self, capture: &mut Vec<Vec<Complex64>>) -> (Vec<u8>, Vec<u8>) {
         let payload: Vec<u8> = (0..self.cfg.payload_len).map(|_| self.rng.gen()).collect();
         let mpdu = Mpdu::data([0x02; 6], [0x04; 6], self.seq, payload.clone());
         self.seq = (self.seq + 1) & 0x0FFF;
         let psdu = mpdu.to_psdu();
 
-        let mut streams = self.tx.transmit(&psdu).expect("valid PSDU");
-        for s in &mut streams {
-            let mut padded = vec![Complex64::ZERO; self.cfg.lead_in];
-            padded.extend_from_slice(s);
-            padded.extend(std::iter::repeat_n(Complex64::ZERO, self.cfg.lead_out));
-            *s = padded;
+        self.burst.resize_with(self.tx.mcs().n_streams, Vec::new);
+        for s in &mut self.burst {
+            s.clear();
+            s.resize(self.cfg.lead_in, Complex64::ZERO);
         }
-        let (rx_streams, truth) = self.chan.apply(&streams);
-        (psdu, payload, rx_streams, truth)
+        self.tx
+            .transmit_into(&psdu, &mut self.tx_ws, &mut self.burst)
+            .expect("valid PSDU");
+        for s in &mut self.burst {
+            s.resize(s.len() + self.cfg.lead_out, Complex64::ZERO);
+        }
+        self.chan
+            .apply_into(&self.burst, &mut self.chan_ws, capture);
+        (psdu, payload)
     }
 
     /// Folds one frame's RX outcome into `stats` — shared verbatim
     /// between the per-frame and batched paths, so the two produce
-    /// identical statistics for identical decode results.
+    /// identical statistics for identical decode results. The channel
+    /// truth it scores against (CFO, timing offset, whether the fading is
+    /// frequency selective) is fixed by the channel configuration.
     fn record_outcome(
         &self,
         stats: &mut LinkStats,
         psdu: &[u8],
         payload: &[u8],
-        truth: &ChannelTruth,
         res: Result<&RxFrame, &RxError>,
     ) {
+        let truth = &self.cfg.channel;
         match res {
             Ok(frame) => {
                 stats.snr_est_db.push(frame.snr_db);
@@ -215,7 +236,7 @@ impl LinkSim {
                     stats.evm_snr_db.push(e);
                 }
                 stats.cfo_error.push(frame.cfo - truth.cfo_norm);
-                if truth.tdl.is_none() {
+                if !matches!(truth.fading, Fading::Tgn(_)) {
                     // The receiver deliberately backs its window into the
                     // CP; measure against the position it *aims* for.
                     let intended = self.cfg.lead_in as f64 + truth.timing_offset + 160.0 + 32.0
@@ -276,27 +297,20 @@ impl LinkSim {
     pub fn run_batch(&mut self, n: usize, stats: &mut LinkStats) {
         let mut psdus = Vec::with_capacity(n);
         let mut payloads = Vec::with_capacity(n);
-        let mut captures = Vec::with_capacity(n);
-        let mut truths = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (psdu, payload, rx_streams, truth) = self.next_tx_frame();
+        let mut captures = std::mem::take(&mut self.captures);
+        captures.resize_with(n, Vec::new);
+        for capture in &mut captures {
+            let (psdu, payload) = self.next_tx_frame(capture);
             psdus.push(psdu);
             payloads.push(payload);
-            captures.push(rx_streams);
-            truths.push(truth);
         }
         crate::rx::with_workspace(|ws| {
             self.rx.receive_batch(&captures, ws, &mut self.batch);
         });
         for i in 0..n {
-            self.record_outcome(
-                stats,
-                &psdus[i],
-                &payloads[i],
-                &truths[i],
-                self.batch.result(i),
-            );
+            self.record_outcome(stats, &psdus[i], &payloads[i], self.batch.result(i));
         }
+        self.captures = captures;
     }
 
     /// Runs `n` frames and returns the aggregated statistics.

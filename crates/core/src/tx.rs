@@ -18,17 +18,21 @@
 use crate::config::TxConfig;
 use mimonet_dsp::complex::Complex64;
 use mimonet_fec::interleaver::Interleaver;
-use mimonet_fec::puncture::puncture;
+use mimonet_fec::puncture::{puncture, puncture_into};
 use mimonet_fec::ConvEncoder;
 use mimonet_frame::carriers::{carrier_to_bin, FFT_LEN};
 use mimonet_frame::mcs::Mcs;
 use mimonet_frame::modulation::Modulation;
-use mimonet_frame::ofdm::{apply_cyclic_shift, ht_cyclic_shift, legacy_cyclic_shift, Ofdm};
+use mimonet_frame::ofdm::{
+    apply_ramp, cyclic_shift_ramp, ht_cyclic_shift, legacy_cyclic_shift, Ofdm,
+};
 use mimonet_frame::pilots::{ht_pilots, legacy_pilots};
 use mimonet_frame::preamble::{htltf_time, htstf_time, lltf_time, lstf_time, num_htltf};
-use mimonet_frame::psdu::{assemble_data_bits, scramble_data_bits};
+use mimonet_frame::psdu::{assemble_data_bits, assemble_data_bits_into, scramble_data_bits};
 use mimonet_frame::sig::{HtSig, LSig};
 use mimonet_frame::Layout;
+use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// Number of pre-data symbols that consume pilot-polarity indices:
 /// L-SIG (p_0) + two HT-SIG symbols (p_1, p_2); data starts at p_3.
@@ -38,11 +42,100 @@ pub const DATA_POLARITY_OFFSET: usize = 3;
 /// L-STF + L-LTF + L-SIG + 2 × HT-SIG.
 pub const PRE_HT_LEN: usize = 160 + 160 + 80 + 160;
 
-/// The transmitter. Holds a planned FFT; reuse across frames.
+/// The transmitter. Holds a planned FFT, the frame's fixed fields and the
+/// per-stream interleavers; reuse across frames.
 #[derive(Clone, Debug)]
 pub struct Transmitter {
     cfg: TxConfig,
     ofdm: Ofdm,
+    training: &'static Training,
+    /// Per stream: the HT data interleaver.
+    interleavers: Vec<Interleaver>,
+}
+
+/// The data-independent part of a frame for one antenna count, built once
+/// per process and shared by every transmitter with that many antennas.
+#[derive(Debug)]
+struct Training {
+    /// Per antenna: L-STF + L-LTF, power-normalized.
+    legacy: Vec<Vec<Complex64>>,
+    /// Per antenna: HT-STF + HT-LTFs, power-normalized.
+    ht: Vec<Vec<Complex64>>,
+    /// Per antenna: the legacy cyclic-shift ramp (`None` = no shift).
+    legacy_csd: Vec<Option<[Complex64; FFT_LEN]>>,
+    /// Per stream: the HT cyclic-shift ramp (`None` = no shift).
+    ht_csd: Vec<Option<[Complex64; FFT_LEN]>>,
+}
+
+impl Training {
+    /// The shared fields for `n_tx` antennas (1–4).
+    fn for_antennas(n_tx: usize) -> &'static Self {
+        static CACHE: [OnceLock<Training>; 4] = [const { OnceLock::new() }; 4];
+        CACHE
+            .get(n_tx.wrapping_sub(1))
+            .unwrap_or_else(|| panic!("unsupported antenna count {n_tx}"))
+            .get_or_init(|| Self::build(n_tx))
+    }
+
+    fn build(n_tx: usize) -> Self {
+        let ofdm = Ofdm::new();
+        let antenna_scale = 1.0 / (n_tx as f64).sqrt();
+        let normalized = |mut s: Vec<Complex64>| {
+            for x in &mut s {
+                *x = x.scale(antenna_scale);
+            }
+            s
+        };
+        Self {
+            legacy: (0..n_tx)
+                .map(|a| normalized([lstf_time(a, n_tx), lltf_time(a, n_tx)].concat()))
+                .collect(),
+            ht: (0..n_tx)
+                .map(|a| {
+                    let mut s = htstf_time(&ofdm, a, n_tx);
+                    for ltf in 0..num_htltf(n_tx) {
+                        s.extend(htltf_time(&ofdm, a, n_tx, ltf));
+                    }
+                    normalized(s)
+                })
+                .collect(),
+            legacy_csd: (0..n_tx)
+                .map(|a| cyclic_shift_ramp(legacy_cyclic_shift(a, n_tx)))
+                .collect(),
+            ht_csd: (0..n_tx)
+                .map(|s| cyclic_shift_ramp(ht_cyclic_shift(s, n_tx)))
+                .collect(),
+        }
+    }
+}
+
+/// Reusable scratch memory for [`Transmitter::transmit_into`]: the coded
+/// bit streams of one frame and one symbol. Construction is cheap (empty
+/// vectors); buffers grow on first use, after which a transmit allocates
+/// nothing. One workspace serves any number of transmitters.
+#[derive(Clone, Debug, Default)]
+pub struct TxWorkspace {
+    /// SIG field bits, then DATA field bits.
+    bits: Vec<u8>,
+    /// Mother-code output.
+    coded: Vec<u8>,
+    /// Punctured (over-the-air) DATA bits.
+    tx_bits: Vec<u8>,
+    /// One symbol's bits, parsed into stream-major per-stream runs.
+    stream_bits: Vec<u8>,
+    /// One stream's interleaved symbol bits.
+    interleaved: Vec<u8>,
+}
+
+impl TxWorkspace {
+    /// An empty workspace.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<TxWorkspace> = RefCell::new(TxWorkspace::new());
 }
 
 /// Transmit-side errors.
@@ -65,12 +158,24 @@ impl std::fmt::Display for TxError {
 
 impl std::error::Error for TxError {}
 
+/// Total frame length in samples for a PSDU of `psdu_len` octets at `mcs`.
+pub fn frame_len(mcs: Mcs, psdu_len: usize) -> usize {
+    let n_sym = mcs.num_symbols(psdu_len * 8);
+    PRE_HT_LEN + 80 + num_htltf(mcs.n_streams) * 80 + n_sym * 80
+}
+
 impl Transmitter {
     /// Creates a transmitter.
     pub fn new(cfg: TxConfig) -> Self {
+        let mcs = cfg.mcs;
+        let n_tx = mcs.n_streams;
         Self {
-            cfg,
             ofdm: Ofdm::new(),
+            training: Training::for_antennas(n_tx),
+            interleavers: (0..n_tx)
+                .map(|s| Interleaver::ht(mcs.n_cbpss(), mcs.n_bpsc(), s, n_tx))
+                .collect(),
+            cfg,
         }
     }
 
@@ -86,9 +191,7 @@ impl Transmitter {
 
     /// Total frame length in samples for a PSDU of `psdu_len` octets.
     pub fn frame_len(&self, psdu_len: usize) -> usize {
-        let mcs = self.cfg.mcs;
-        let n_sym = mcs.num_symbols(psdu_len * 8);
-        PRE_HT_LEN + 80 + num_htltf(mcs.n_streams) * 80 + n_sym * 80
+        frame_len(self.cfg.mcs, psdu_len)
     }
 
     /// The punctured (over-the-air) coded bit stream for a PSDU — the
@@ -104,6 +207,29 @@ impl Transmitter {
 
     /// Builds the per-antenna sample streams for one PSDU.
     pub fn transmit(&self, psdu: &[u8]) -> Result<Vec<Vec<Complex64>>, TxError> {
+        let mut streams: Vec<Vec<Complex64>> = (0..self.cfg.mcs.n_streams)
+            .map(|_| Vec::with_capacity(self.frame_len(psdu.len())))
+            .collect();
+        WORKSPACE.with(|ws| self.transmit_into(psdu, &mut ws.borrow_mut(), &mut streams))?;
+        Ok(streams)
+    }
+
+    /// [`Self::transmit`] *appending* each antenna's
+    /// [`Self::frame_len`] samples to `out[antenna]`, with scratch from
+    /// `ws` — the allocation-free path: once `ws` is warm and `out` has
+    /// the capacity, a frame touches no heap. Callers frame a burst by
+    /// filling lead-in samples before the call and lead-out after it. On
+    /// error, `out` is untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from the MCS's stream count.
+    pub fn transmit_into(
+        &self,
+        psdu: &[u8],
+        ws: &mut TxWorkspace,
+        out: &mut [Vec<Complex64>],
+    ) -> Result<(), TxError> {
         if psdu.is_empty() {
             return Err(TxError::EmptyPsdu);
         }
@@ -112,78 +238,65 @@ impl Transmitter {
         }
         let mcs = self.cfg.mcs;
         let n_tx = mcs.n_streams;
+        assert_eq!(out.len(), n_tx, "expected {n_tx} output streams");
         let antenna_scale = 1.0 / (n_tx as f64).sqrt();
-
-        let mut streams: Vec<Vec<Complex64>> = (0..n_tx)
-            .map(|_| Vec::with_capacity(self.frame_len(psdu.len())))
-            .collect();
+        let frame_len = self.frame_len(psdu.len());
 
         // ---- Legacy preamble ----
-        for (a, s) in streams.iter_mut().enumerate() {
-            s.extend(lstf_time(a, n_tx));
-            s.extend(lltf_time(a, n_tx));
+        for (s, training) in out.iter_mut().zip(&self.training.legacy) {
+            s.reserve(frame_len);
+            s.extend_from_slice(training);
         }
 
         // ---- L-SIG ----
         // The legacy LENGTH/RATE announce a 6 Mb/s frame spanning the HT
         // duration (spoofing); receivers in this workspace read HT-SIG for
         // the real parameters.
-        let lsig = LSig::new(6.0, (psdu.len() as u16).clamp(1, 4095));
-        let lsig_coded = ConvEncoder::new().encode(&lsig.encode());
-        debug_assert_eq!(lsig_coded.len(), 48);
-        let lsig_sym = self.legacy_bpsk_symbol(&lsig_coded, 0, false);
-        self.append_legacy_symbol(&mut streams, &lsig_sym);
+        LSig::new(6.0, (psdu.len() as u16).clamp(1, 4095)).encode_into(&mut ws.bits);
+        ConvEncoder::new().encode_into(&ws.bits, &mut ws.coded);
+        debug_assert_eq!(ws.coded.len(), 48);
+        let lsig_sym = self.legacy_bpsk_symbol(&ws.coded, 0, false);
+        self.append_legacy_symbol(out, &lsig_sym, antenna_scale);
 
         // ---- HT-SIG (two QBPSK symbols) ----
-        let htsig = HtSig::new(mcs.index, psdu.len() as u16);
-        let coded = ConvEncoder::new().encode(&htsig.encode());
-        debug_assert_eq!(coded.len(), 96);
-        for (i, half) in coded.chunks(48).enumerate() {
+        HtSig::new(mcs.index, psdu.len() as u16).encode_into(&mut ws.bits);
+        ConvEncoder::new().encode_into(&ws.bits, &mut ws.coded);
+        debug_assert_eq!(ws.coded.len(), 96);
+        for (i, half) in ws.coded.chunks(48).enumerate() {
             let sym = self.legacy_bpsk_symbol(half, 1 + i, true);
-            self.append_legacy_symbol(&mut streams, &sym);
+            self.append_legacy_symbol(out, &sym, antenna_scale);
         }
 
         // ---- HT-STF and HT-LTFs ----
-        let n_ltf = num_htltf(n_tx);
-        for (a, s) in streams.iter_mut().enumerate() {
-            s.extend(htstf_time(&self.ofdm, a, n_tx));
-        }
-        for ltf in 0..n_ltf {
-            for (a, s) in streams.iter_mut().enumerate() {
-                s.extend(htltf_time(&self.ofdm, a, n_tx, ltf));
-            }
+        for (s, training) in out.iter_mut().zip(&self.training.ht) {
+            s.extend_from_slice(training);
         }
 
         // ---- HT-Data ----
-        let mut bits = assemble_data_bits(psdu, &mcs);
-        scramble_data_bits(&mut bits, psdu.len(), self.cfg.scrambler_seed);
-        let coded = ConvEncoder::new().encode(&bits);
-        let tx_bits = puncture(&coded, mcs.code_rate);
-        debug_assert_eq!(tx_bits.len() % mcs.n_cbps(), 0);
-        let n_sym = tx_bits.len() / mcs.n_cbps();
+        assemble_data_bits_into(psdu, &mcs, &mut ws.bits);
+        scramble_data_bits(&mut ws.bits, psdu.len(), self.cfg.scrambler_seed);
+        ConvEncoder::new().encode_into(&ws.bits, &mut ws.coded);
+        puncture_into(&ws.coded, mcs.code_rate, &mut ws.tx_bits);
+        debug_assert_eq!(ws.tx_bits.len() % mcs.n_cbps(), 0);
 
-        let interleavers: Vec<Interleaver> = (0..n_tx)
-            .map(|s| Interleaver::ht(mcs.n_cbpss(), mcs.n_bpsc(), s, n_tx))
-            .collect();
-
-        for sym in 0..n_sym {
-            let sym_bits = &tx_bits[sym * mcs.n_cbps()..(sym + 1) * mcs.n_cbps()];
-            let stream_bits = parse_streams(sym_bits, n_tx, mcs.n_bpsc());
-            for (stream, s_bits) in stream_bits.iter().enumerate() {
-                let interleaved = interleavers[stream].interleave(s_bits);
-                let symbols = mcs.modulation.map(&interleaved);
-                let td = self.ht_data_symbol(&symbols, stream, n_tx, sym, mcs.modulation);
-                streams[stream].extend(td);
+        let n_cbpss = mcs.n_cbpss();
+        ws.stream_bits.resize(mcs.n_cbps(), 0);
+        ws.interleaved.resize(n_cbpss, 0);
+        for (sym, sym_bits) in ws.tx_bits.chunks_exact(mcs.n_cbps()).enumerate() {
+            parse_streams_into(sym_bits, n_tx, mcs.n_bpsc(), &mut ws.stream_bits);
+            for (stream, s_bits) in ws.stream_bits.chunks_exact(n_cbpss).enumerate() {
+                self.interleavers[stream].interleave_into(s_bits, &mut ws.interleaved);
+                let bins = self.ht_data_bins(&ws.interleaved, stream, n_tx, sym, mcs.modulation);
+                push_symbol(
+                    &self.ofdm,
+                    &bins,
+                    Ofdm::unit_power_scale(56),
+                    antenna_scale,
+                    &mut out[stream],
+                );
             }
         }
-
-        // ---- Per-antenna power normalization ----
-        for s in &mut streams {
-            for x in s.iter_mut() {
-                *x = x.scale(antenna_scale);
-            }
-        }
-        Ok(streams)
+        Ok(())
     }
 
     /// One legacy-format BPSK (or QBPSK when `quadrature`) symbol carrying
@@ -197,17 +310,16 @@ impl Transmitter {
         quadrature: bool,
     ) -> [Complex64; FFT_LEN] {
         assert_eq!(coded_bits.len(), 48, "legacy symbol carries 48 coded bits");
-        let il = Interleaver::legacy(48, 1);
-        let interleaved = il.interleave(coded_bits);
-        let data = Modulation::Bpsk.map(&interleaved);
+        let mut interleaved = [0u8; 48];
+        Interleaver::legacy(48, 1).interleave_into(coded_bits, &mut interleaved);
         let rot = if quadrature {
             Complex64::I
         } else {
             Complex64::ONE
         };
         let mut bins = [Complex64::ZERO; FFT_LEN];
-        for (i, &k) in Layout::Legacy.data_carriers().iter().enumerate() {
-            bins[carrier_to_bin(k)] = data[i] * rot;
+        for (bit, &k) in interleaved.chunks(1).zip(Layout::Legacy.data_carriers()) {
+            bins[carrier_to_bin(k)] = Modulation::Bpsk.map_bits(bit) * rot;
         }
         let pil = legacy_pilots(sym_index, 0);
         for (i, &k) in mimonet_frame::carriers::PILOT_CARRIERS.iter().enumerate() {
@@ -217,45 +329,92 @@ impl Transmitter {
     }
 
     /// Appends a legacy symbol to every antenna with its legacy CSD.
-    fn append_legacy_symbol(&self, streams: &mut [Vec<Complex64>], bins: &[Complex64; FFT_LEN]) {
-        let n_tx = streams.len();
-        for (a, s) in streams.iter_mut().enumerate() {
+    fn append_legacy_symbol(
+        &self,
+        streams: &mut [Vec<Complex64>],
+        bins: &[Complex64; FFT_LEN],
+        antenna_scale: f64,
+    ) {
+        for (s, csd) in streams.iter_mut().zip(&self.training.legacy_csd) {
             let mut shifted = *bins;
-            apply_cyclic_shift(&mut shifted, legacy_cyclic_shift(a, n_tx));
-            s.extend(
-                self.ofdm
-                    .modulate_bins(&shifted, Ofdm::unit_power_scale(52)),
+            if let Some(ramp) = csd {
+                apply_ramp(&mut shifted, ramp);
+            }
+            push_symbol(
+                &self.ofdm,
+                &shifted,
+                Ofdm::unit_power_scale(52),
+                antenna_scale,
+                s,
             );
         }
     }
 
-    /// One HT data symbol for `stream`: 52 data carriers + 4 pilots, HT
-    /// CSD, 56-carrier power scale.
-    fn ht_data_symbol(
+    /// The bins of one HT data symbol for `stream`: 52 data carriers
+    /// mapped from the interleaved bits, 4 pilots, HT CSD.
+    fn ht_data_bins(
         &self,
-        symbols: &[Complex64],
+        interleaved: &[u8],
         stream: usize,
         n_sts: usize,
         sym_index: usize,
-        _modulation: Modulation,
-    ) -> Vec<Complex64> {
-        debug_assert_eq!(symbols.len(), 52);
+        modulation: Modulation,
+    ) -> [Complex64; FFT_LEN] {
+        let bps = modulation.bits_per_symbol();
+        debug_assert_eq!(interleaved.len(), 52 * bps);
         let mut bins = [Complex64::ZERO; FFT_LEN];
-        for (i, &k) in Layout::Ht.data_carriers().iter().enumerate() {
-            bins[carrier_to_bin(k)] = symbols[i];
+        for (bits, &k) in interleaved
+            .chunks_exact(bps)
+            .zip(Layout::Ht.data_carriers())
+        {
+            bins[carrier_to_bin(k)] = modulation.map_bits(bits);
         }
         let pil = ht_pilots(stream, n_sts, sym_index, DATA_POLARITY_OFFSET);
         for (i, &k) in mimonet_frame::carriers::PILOT_CARRIERS.iter().enumerate() {
             bins[carrier_to_bin(k)] = Complex64::from_re(pil[i]);
         }
-        apply_cyclic_shift(&mut bins, ht_cyclic_shift(stream, n_sts));
-        self.ofdm.modulate_bins(&bins, Ofdm::unit_power_scale(56))
+        if let Some(ramp) = &self.training.ht_csd[stream] {
+            apply_ramp(&mut bins, ramp);
+        }
+        bins
+    }
+}
+
+/// Appends one OFDM symbol to an antenna's stream, power-normalized for
+/// the antenna count.
+fn push_symbol(
+    ofdm: &Ofdm,
+    bins: &[Complex64; FFT_LEN],
+    scale: f64,
+    antenna_scale: f64,
+    out: &mut Vec<Complex64>,
+) {
+    let start = out.len();
+    ofdm.modulate_bins_into(bins, scale, out);
+    for x in &mut out[start..] {
+        *x = x.scale(antenna_scale);
     }
 }
 
 /// The 802.11n stream parser: distributes one symbol's coded bits
 /// round-robin in groups of `s = max(1, n_bpsc/2)` bits per stream.
 pub fn parse_streams(bits: &[u8], n_streams: usize, n_bpsc: usize) -> Vec<Vec<u8>> {
+    let mut flat = vec![0u8; bits.len()];
+    parse_streams_into(bits, n_streams, n_bpsc, &mut flat);
+    flat.chunks(bits.len() / n_streams)
+        .map(<[u8]>::to_vec)
+        .collect()
+}
+
+/// [`parse_streams`] into a flat stream-major slice
+/// (`out[st * per_stream + i]`, `per_stream = bits.len() / n_streams`) —
+/// the allocation-free path for the per-symbol TX loop.
+///
+/// # Panics
+///
+/// Panics if `bits.len()` is not a multiple of `n_streams * s` or
+/// `out.len() != bits.len()`.
+pub fn parse_streams_into(bits: &[u8], n_streams: usize, n_bpsc: usize, out: &mut [u8]) {
     let s = (n_bpsc / 2).max(1);
     assert_eq!(
         bits.len() % (n_streams * s),
@@ -265,12 +424,12 @@ pub fn parse_streams(bits: &[u8], n_streams: usize, n_bpsc: usize) -> Vec<Vec<u8
         n_streams,
         s
     );
+    assert_eq!(out.len(), bits.len(), "output must hold every bit");
     let per_stream = bits.len() / n_streams;
-    let mut out = vec![Vec::with_capacity(per_stream); n_streams];
     for (g, group) in bits.chunks(s).enumerate() {
-        out[g % n_streams].extend_from_slice(group);
+        let at = (g % n_streams) * per_stream + (g / n_streams) * s;
+        out[at..at + s].copy_from_slice(group);
     }
-    out
 }
 
 /// Inverse of [`parse_streams`] over per-stream LLR vectors.

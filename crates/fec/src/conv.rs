@@ -57,6 +57,15 @@ impl ConvEncoder {
     /// (`[a0, b0, a1, b1, ...]`).
     pub fn encode(&mut self, bits: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(bits.len() * 2);
+        self.encode_into(bits, &mut out);
+        out
+    }
+
+    /// [`Self::encode`] into a caller-owned vector (cleared first; its
+    /// capacity is reused) — the allocation-free path for the TX chain.
+    pub fn encode_into(&mut self, bits: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(bits.len() * 2);
         for &bit in bits {
             assert!(bit <= 1, "input bit {bit} is not 0 or 1");
             let (a, b, next) = encode_step(self.state, bit);
@@ -64,7 +73,6 @@ impl ConvEncoder {
             out.push(b);
             self.state = next;
         }
-        out
     }
 
     /// Current 6-bit encoder state.

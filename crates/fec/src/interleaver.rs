@@ -16,8 +16,14 @@
 //! diversity. We implement the standard's third permutation with
 //! `N_ROT = 11` base rotation.
 
+use std::sync::RwLock;
+
 /// Interleaver configuration for one spatial stream of one OFDM symbol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// Carries the geometry's permutation table, built once per geometry from
+/// the standard's index formula and shared process-wide, so interleaving
+/// and deinterleaving are one table lookup per bit.
+#[derive(Clone, Copy)]
 pub struct Interleaver {
     /// Coded bits per symbol per spatial stream.
     n_cbpss: usize,
@@ -30,7 +36,51 @@ pub struct Interleaver {
     stream: usize,
     /// Total number of spatial streams.
     n_streams: usize,
+    /// `perm[k]` = interleaved position of input bit `k`.
+    perm: &'static [u16],
 }
+
+impl PartialEq for Interleaver {
+    fn eq(&self, other: &Self) -> bool {
+        // The table is a function of the geometry.
+        (
+            self.n_cbpss,
+            self.n_bpsc,
+            self.n_col,
+            self.stream,
+            self.n_streams,
+        ) == (
+            other.n_cbpss,
+            other.n_bpsc,
+            other.n_col,
+            other.stream,
+            other.n_streams,
+        )
+    }
+}
+
+impl Eq for Interleaver {}
+
+impl std::fmt::Debug for Interleaver {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Interleaver")
+            .field("n_cbpss", &self.n_cbpss)
+            .field("n_bpsc", &self.n_bpsc)
+            .field("n_col", &self.n_col)
+            .field("stream", &self.stream)
+            .field("n_streams", &self.n_streams)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Geometry key of a permutation table: `(n_cbpss, n_bpsc, n_col,
+/// stream, n_streams)`.
+type Geometry = (usize, usize, usize, usize, usize);
+
+/// Every permutation table built so far. Tables are leaked: there is one
+/// per distinct geometry, and a transceiver uses a handful (the 802.11
+/// geometries number 4 legacy + 40 HT).
+static TABLES: RwLock<Vec<(Geometry, &'static [u16])>> = RwLock::new(Vec::new());
 
 impl Interleaver {
     /// Creates an interleaver.
@@ -38,7 +88,8 @@ impl Interleaver {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (`n_cbpss` not divisible by
-    /// `n_bpsc * n_col`, zero sizes, or `stream >= n_streams`).
+    /// `n_bpsc * n_col`, zero sizes, or `stream >= n_streams`), or if
+    /// `n_cbpss` exceeds 65536 bits.
     pub fn new(
         n_cbpss: usize,
         n_bpsc: usize,
@@ -58,13 +109,51 @@ impl Interleaver {
             stream < n_streams,
             "stream {stream} out of range (of {n_streams})"
         );
-        Self {
+        assert!(
+            n_cbpss <= 1 << 16,
+            "N_CBPSS {n_cbpss} exceeds the 65536-bit table limit"
+        );
+        let mut il = Self {
             n_cbpss,
             n_bpsc,
             n_col,
             stream,
             n_streams,
+            perm: &[],
+        };
+        il.perm = il.table();
+        il
+    }
+
+    /// This geometry's permutation table, built on first use.
+    fn table(&self) -> &'static [u16] {
+        let key = (
+            self.n_cbpss,
+            self.n_bpsc,
+            self.n_col,
+            self.stream,
+            self.n_streams,
+        );
+        let find = |tables: &[(Geometry, &'static [u16])]| {
+            tables.iter().find(|(k, _)| *k == key).map(|&(_, t)| t)
+        };
+        // Tables are pushed whole under the write lock, so a poisoned lock
+        // still guards a valid registry.
+        let read = TABLES.read().unwrap_or_else(|e| e.into_inner());
+        if let Some(t) = find(&read) {
+            return t;
         }
+        drop(read);
+        let mut tables = TABLES.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(t) = find(&tables) {
+            return t;
+        }
+        let table: Vec<u16> = (0..self.n_cbpss)
+            .map(|k| self.map_index(k) as u16)
+            .collect();
+        let table: &'static [u16] = Box::leak(table.into_boxed_slice());
+        tables.push((key, table));
+        table
     }
 
     /// Legacy 802.11a geometry: 48 data carriers, 16 columns, single stream.
@@ -87,7 +176,8 @@ impl Interleaver {
         false
     }
 
-    /// Maps input bit index `k` to its interleaved position.
+    /// Maps input bit index `k` to its interleaved position — the
+    /// standard's formula, evaluated once per bit to build the table.
     fn map_index(&self, k: usize) -> usize {
         let n = self.n_cbpss;
         let ncol = self.n_col;
@@ -116,16 +206,31 @@ impl Interleaver {
     ///
     /// Panics if `bits.len() != self.len()`.
     pub fn interleave(&self, bits: &[u8]) -> Vec<u8> {
+        let mut out = vec![0u8; self.n_cbpss];
+        self.interleave_into(bits, &mut out);
+        out
+    }
+
+    /// Interleaves one symbol's worth of bits into a caller-owned slice —
+    /// the allocation-free path for the per-symbol TX loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice length differs from `self.len()`.
+    pub fn interleave_into(&self, bits: &[u8], out: &mut [u8]) {
         assert_eq!(
             bits.len(),
             self.n_cbpss,
             "interleaver expects exactly one symbol"
         );
-        let mut out = vec![0u8; self.n_cbpss];
-        for (k, &b) in bits.iter().enumerate() {
-            out[self.map_index(k)] = b;
+        assert_eq!(
+            out.len(),
+            self.n_cbpss,
+            "interleaver output must be exactly one symbol"
+        );
+        for (&b, &m) in bits.iter().zip(self.perm) {
+            out[m as usize] = b;
         }
-        out
     }
 
     /// Inverse permutation.
@@ -152,8 +257,8 @@ impl Interleaver {
             self.n_cbpss,
             "deinterleaver output must be exactly one symbol"
         );
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = bits[self.map_index(k)];
+        for (slot, &m) in out.iter_mut().zip(self.perm) {
+            *slot = bits[m as usize];
         }
     }
 
@@ -181,8 +286,8 @@ impl Interleaver {
             self.n_cbpss,
             "deinterleaver output must be exactly one symbol"
         );
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = llrs[self.map_index(k)];
+        for (slot, &m) in out.iter_mut().zip(self.perm) {
+            *slot = llrs[m as usize];
         }
     }
 }
@@ -228,6 +333,39 @@ mod tests {
                     seen[m] = true;
                 }
             }
+        }
+    }
+
+    #[test]
+    fn tables_match_the_formula_for_every_geometry() {
+        let legacy = [1usize, 2, 4, 6].map(|n_bpsc| Interleaver::legacy(48 * n_bpsc, n_bpsc));
+        let ht = (1..=4usize).flat_map(|n_streams| {
+            (0..n_streams).flat_map(move |stream| {
+                [1usize, 2, 4, 6]
+                    .map(|n_bpsc| Interleaver::ht(52 * n_bpsc, n_bpsc, stream, n_streams))
+            })
+        });
+        for il in legacy.into_iter().chain(ht) {
+            let n = il.len();
+            assert_eq!(il.perm.len(), n, "{il:?}");
+            for k in 0..n {
+                assert_eq!(il.perm[k] as usize, il.map_index(k), "{il:?} bit {k}");
+            }
+            // A second construction shares the table.
+            let again = Interleaver::new(il.n_cbpss, il.n_bpsc, il.n_col, il.stream, il.n_streams);
+            assert!(std::ptr::eq(il.perm, again.perm), "{il:?}");
+
+            let bits = prbs(n, 0x5EED + n as u64);
+            let mut interleaved = vec![0u8; n];
+            il.interleave_into(&bits, &mut interleaved);
+            assert_eq!(interleaved, il.interleave(&bits));
+            assert_eq!(il.deinterleave(&interleaved), bits, "{il:?}");
+            let llrs: Vec<f64> = (0..n).map(|k| k as f64 - 0.5).collect();
+            let mut permuted = vec![0.0; n];
+            for (k, &m) in il.perm.iter().enumerate() {
+                permuted[m as usize] = llrs[k];
+            }
+            assert_eq!(il.deinterleave_soft(&permuted), llrs, "{il:?}");
         }
     }
 

@@ -25,7 +25,9 @@ pub mod viterbi;
 pub use conv::{encode_terminated, ConvEncoder};
 pub use crc::{append_fcs, check_fcs, crc32};
 pub use interleaver::Interleaver;
-pub use puncture::{depuncture_hard, depuncture_soft, depuncture_soft_into, puncture, CodeRate};
+pub use puncture::{
+    depuncture_hard, depuncture_soft, depuncture_soft_into, puncture, puncture_into, CodeRate,
+};
 pub use scrambler::Scrambler;
 pub use viterbi::{
     decode_hard, decode_hard_unterminated, decode_soft, decode_soft_unterminated, Symbol,

@@ -89,13 +89,26 @@ impl std::fmt::Display for CodeRate {
 
 /// Removes punctured positions from a mother-coded stream.
 pub fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
+    let mut out = Vec::new();
+    puncture_into(coded, rate, &mut out);
+    out
+}
+
+/// [`puncture`] into a caller-owned vector (cleared first; its capacity
+/// is reused) — the allocation-free path for the TX chain.
+pub fn puncture_into(coded: &[u8], rate: CodeRate, out: &mut Vec<u8>) {
     let p = rate.pattern();
-    coded
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| p[i % p.len()])
-        .map(|(_, &b)| b)
-        .collect()
+    out.clear();
+    out.reserve(rate.coded_len(coded.len()));
+    for period in coded.chunks(p.len()) {
+        out.extend(
+            period
+                .iter()
+                .zip(p)
+                .filter(|(_, &keep)| keep)
+                .map(|(&b, _)| b),
+        );
+    }
 }
 
 /// Re-inserts erasures at punctured positions, producing a hard-decision

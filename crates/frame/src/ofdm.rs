@@ -37,15 +37,27 @@ impl Ofdm {
     /// [`Ofdm::unit_power_scale`]`(n_occupied)` for unit average symbol
     /// power.
     pub fn modulate_bins(&self, bins: &[Complex64; FFT_LEN], scale: f64) -> Vec<Complex64> {
-        let mut td = bins.to_vec();
+        let mut sym = Vec::with_capacity(CP_LEN + FFT_LEN);
+        self.modulate_bins_into(bins, scale, &mut sym);
+        sym
+    }
+
+    /// [`Self::modulate_bins`] *appending* the symbol's
+    /// `CP_LEN + FFT_LEN` samples to `out` — the allocation-free path for
+    /// the TX chain, which builds each antenna's frame in one vector.
+    pub fn modulate_bins_into(
+        &self,
+        bins: &[Complex64; FFT_LEN],
+        scale: f64,
+        out: &mut Vec<Complex64>,
+    ) {
+        let mut td = *bins;
         self.fft.inverse(&mut td);
         for x in &mut td {
             *x = x.scale(scale);
         }
-        let mut sym = Vec::with_capacity(CP_LEN + FFT_LEN);
-        sym.extend_from_slice(&td[FFT_LEN - CP_LEN..]);
-        sym.extend_from_slice(&td);
-        sym
+        out.extend_from_slice(&td[FFT_LEN - CP_LEN..]);
+        out.extend_from_slice(&td);
     }
 
     /// Builds the FFT-bin array from `(logical carrier, value)` pairs and
@@ -119,13 +131,29 @@ impl Ofdm {
 /// legacy preamble does not beamform; shift values are in samples at 20 Msps
 /// (200 ns = 4 samples).
 pub fn apply_cyclic_shift(bins: &mut [Complex64; FFT_LEN], shift: i32) {
-    if shift == 0 {
-        return;
+    if let Some(ramp) = cyclic_shift_ramp(shift) {
+        apply_ramp(bins, &ramp);
     }
-    for bin in 0..FFT_LEN {
-        let k = crate::carriers::bin_to_carrier(bin);
-        let theta = -2.0 * std::f64::consts::PI * k as f64 * shift as f64 / FFT_LEN as f64;
-        bins[bin] *= Complex64::cis(theta);
+}
+
+/// The per-bin phase ramp [`apply_cyclic_shift`] multiplies by, or `None`
+/// for a zero shift (which leaves the bins untouched). Precompute it once
+/// per antenna and apply it with [`apply_ramp`] to skip the per-symbol
+/// `cis` evaluations; the result is bit-identical.
+pub fn cyclic_shift_ramp(shift: i32) -> Option<[Complex64; FFT_LEN]> {
+    (shift != 0).then(|| {
+        std::array::from_fn(|bin| {
+            let k = crate::carriers::bin_to_carrier(bin);
+            let theta = -2.0 * std::f64::consts::PI * k as f64 * shift as f64 / FFT_LEN as f64;
+            Complex64::cis(theta)
+        })
+    })
+}
+
+/// Multiplies every bin by its entry of a [`cyclic_shift_ramp`].
+pub fn apply_ramp(bins: &mut [Complex64; FFT_LEN], ramp: &[Complex64; FFT_LEN]) {
+    for (b, r) in bins.iter_mut().zip(ramp) {
+        *b *= *r;
     }
 }
 

@@ -7,7 +7,6 @@
 //! can attribute packet errors exactly, and the DATA field framing follows
 //! IEEE 802.11-2012 §18.3.5.2–18.3.5.4.
 
-use mimonet_fec::bits::bytes_to_bits;
 use mimonet_fec::crc::{append_fcs, check_fcs};
 use mimonet_fec::scrambler::Scrambler;
 
@@ -149,13 +148,22 @@ impl Mpdu {
 /// `SERVICE (16 zeros) | PSDU bits | 6 tail zeros | pad zeros`, padded to a
 /// whole number of OFDM symbols for `mcs`.
 pub fn assemble_data_bits(psdu: &[u8], mcs: &Mcs) -> Vec<u8> {
-    let psdu_bits = bytes_to_bits(psdu);
-    let pad = mcs.pad_bits(psdu_bits.len());
-    let mut bits = Vec::with_capacity(SERVICE_BITS + psdu_bits.len() + TAIL_BITS + pad);
-    bits.extend_from_slice(&[0u8; SERVICE_BITS]);
-    bits.extend_from_slice(&psdu_bits);
-    bits.extend(std::iter::repeat_n(0u8, TAIL_BITS + pad));
+    let mut bits = Vec::new();
+    assemble_data_bits_into(psdu, mcs, &mut bits);
     bits
+}
+
+/// [`assemble_data_bits`] into a caller-owned vector (cleared first; its
+/// capacity is reused) — the allocation-free path for the TX chain.
+pub fn assemble_data_bits_into(psdu: &[u8], mcs: &Mcs, bits: &mut Vec<u8>) {
+    let pad = mcs.pad_bits(psdu.len() * 8);
+    bits.clear();
+    bits.reserve(SERVICE_BITS + psdu.len() * 8 + TAIL_BITS + pad);
+    bits.extend_from_slice(&[0u8; SERVICE_BITS]);
+    for &byte in psdu {
+        bits.extend((0..8).map(|k| (byte >> k) & 1));
+    }
+    bits.extend(std::iter::repeat_n(0u8, TAIL_BITS + pad));
 }
 
 /// Scrambles an assembled DATA field and re-zeroes the six tail bits

@@ -92,12 +92,20 @@ impl LSig {
 
     /// Encodes to 24 bits in transmission order.
     pub fn encode(&self) -> Vec<u8> {
+        let mut bits = Vec::with_capacity(Self::BITS);
+        self.encode_into(&mut bits);
+        bits
+    }
+
+    /// [`Self::encode`] into a caller-owned vector (cleared first; its
+    /// capacity is reused).
+    pub fn encode_into(&self, bits: &mut Vec<u8>) {
         let code = LEGACY_RATE_CODES
             .iter()
             .find(|&&(_, r)| r == self.rate_mbps)
             .map(|&(c, _)| c)
             .expect("validated in new()");
-        let mut bits = Vec::with_capacity(Self::BITS);
+        bits.clear();
         // RATE: 4 bits, transmitted MSB (R1) first = bit 3 of the code.
         for i in (0..4).rev() {
             bits.push((code >> i) & 1);
@@ -111,7 +119,6 @@ impl LSig {
         let parity: u8 = bits.iter().sum::<u8>() & 1;
         bits.push(parity);
         bits.extend_from_slice(&[0; 6]); // tail
-        bits
     }
 
     /// Decodes 24 received bits.
@@ -194,6 +201,14 @@ impl HtSig {
     /// Encodes to 48 bits in transmission order.
     pub fn encode(&self) -> Vec<u8> {
         let mut bits = Vec::with_capacity(Self::BITS);
+        self.encode_into(&mut bits);
+        bits
+    }
+
+    /// [`Self::encode`] into a caller-owned vector (cleared first; its
+    /// capacity is reused).
+    pub fn encode_into(&self, bits: &mut Vec<u8>) {
+        bits.clear();
         // MCS: 7 bits LSB first.
         for i in 0..7 {
             bits.push((self.mcs >> i) & 1);
@@ -212,13 +227,12 @@ impl HtSig {
         bits.push(0); // short GI: no
         bits.extend_from_slice(&[0, 0]); // extension spatial streams
         debug_assert_eq!(bits.len(), 34);
-        let crc = Self::crc8(&bits);
+        let crc = Self::crc8(bits);
         // CRC transmitted MSB (c7) first.
         for i in (0..8).rev() {
             bits.push((crc >> i) & 1);
         }
         bits.extend_from_slice(&[0; 6]); // tail
-        bits
     }
 
     /// Decodes 48 received bits, checking the CRC and MCS validity.

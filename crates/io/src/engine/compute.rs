@@ -8,9 +8,14 @@
 //! of spinning a flowgraph per session:
 //!
 //! * a **generation turn** advances one session by a window of frames —
-//!   transmit + channel, both cheap — and enqueues one decode job per
-//!   burst; the task then goes to the back of the generation queue, so
-//!   active sessions round-robin and their bursts interleave;
+//!   transmit + channel, written in place into recycled burst buffers —
+//!   and enqueues one decode job per burst; the task then goes to the
+//!   back of the generation queue, so active sessions round-robin and
+//!   their bursts interleave. Generation is a third of a frame's compute:
+//!   on the benchmark's `serve_fleet` mix (2×2 and SISO sessions, 2-CPU
+//!   host, traced) a frame costs ~80 µs in TX and ~400 µs in the AWGN
+//!   channel — mostly Box–Muller's `ln`/`sqrt`/`cos` — against ~800 µs
+//!   in `receive_batch`;
 //! * a **decode turn** drains up to a lane-multiple of decode jobs from
 //!   the shared queue — *regardless of which session they came from* —
 //!   and runs them through one [`Receiver::receive_batch`] call, whose
@@ -40,9 +45,9 @@ use crate::wire::{DecodedFrame, SessionConfig};
 use mimonet::blocks::{frame_burst_len, LEAD_IN, LEAD_OUT};
 use mimonet::config::RxConfig;
 use mimonet::obs::{SloCounts, SloSpec, TraceCollector, TraceEventKind};
-use mimonet::tx::Transmitter;
+use mimonet::tx::{Transmitter, TxWorkspace};
 use mimonet::{LinkTracer, Receiver, RxBatch, RxWorkspace};
-use mimonet_channel::{ChannelConfig, ChannelSim};
+use mimonet_channel::{ChannelConfig, ChannelSim, ChannelWorkspace};
 use mimonet_dsp::complex::Complex64;
 use serde::{Serialize, Value};
 use std::collections::HashMap;
@@ -60,10 +65,20 @@ const GEN_WINDOW: u32 = 8;
 /// `ViterbiDecoderX4` lane groups.
 const BATCH_MAX: usize = 8;
 
-/// Decode queue depth — bounds in-flight burst memory. Must comfortably
-/// exceed `workers × GEN_WINDOW` so generation turns never deadlock on
-/// their own output.
-const DECODE_QUEUE_DEPTH: usize = 1024;
+/// Floor of the decode queue depth — bounds in-flight burst memory.
+const DECODE_QUEUE_MIN_DEPTH: usize = 1024;
+
+/// Decode queue depth for `workers` compute workers.
+///
+/// A worker starts a generation turn only after finding the decode queue
+/// empty, and a turn pushes at most [`GEN_WINDOW`] jobs. So at any moment
+/// the queue holds at most `workers × GEN_WINDOW` jobs pushed since it was
+/// last seen empty; a depth above that means no push ever blocks with
+/// every worker stuck generating and none left to decode. Twice that, with
+/// a floor, leaves headroom.
+fn decode_queue_depth(workers: usize) -> usize {
+    (2 * workers * GEN_WINDOW as usize).max(DECODE_QUEUE_MIN_DEPTH)
+}
 
 /// Generation queue depth — one slot per admitted session, so it must
 /// exceed any plausible admission cap (a full queue would block the
@@ -82,6 +97,10 @@ pub(crate) struct SessionRun {
     pub token: u64,
     /// Overload shed decided at admission: stream control, withhold data.
     pub shed: bool,
+    /// The session's PSDUs, built once at admission: generation transmits
+    /// them and the final frame scores against them. Empty on the
+    /// observability fallback, which runs its own flowgraph.
+    psdus: Vec<Vec<u8>>,
     state: Mutex<RunState>,
 }
 
@@ -105,6 +124,7 @@ impl SessionRun {
             cfg,
             token,
             shed,
+            psdus: Vec::new(),
             state: Mutex::new(RunState {
                 slots: vec![None; n],
                 done: 0,
@@ -141,7 +161,6 @@ struct DirectTask {
     run: Arc<SessionRun>,
     tx: Transmitter,
     sim: ChannelSim,
-    psdus: Vec<Vec<u8>>,
     burst_len: usize,
     n_streams: usize,
     next: u32,
@@ -171,9 +190,12 @@ impl ComputePlane {
     ) -> Self {
         let gen: Arc<BoundedQueue<GenTask>> =
             Arc::new(BoundedQueue::new(GEN_QUEUE_DEPTH, OverflowPolicy::Block));
-        let decode: Arc<BoundedQueue<DecodeJob>> =
-            Arc::new(BoundedQueue::new(DECODE_QUEUE_DEPTH, OverflowPolicy::Block));
-        let workers = (0..n_workers.max(1))
+        let n_workers = n_workers.max(1);
+        let decode: Arc<BoundedQueue<DecodeJob>> = Arc::new(BoundedQueue::new(
+            decode_queue_depth(n_workers),
+            OverflowPolicy::Block,
+        ));
+        let workers = (0..n_workers)
             .map(|_| {
                 let gen = gen.clone();
                 let decode = decode.clone();
@@ -189,30 +211,29 @@ impl ComputePlane {
         }
     }
 
-    /// Admits a session into the plane. Returns `false` when the config
-    /// is invalid (the caller reports `bad-config` without spending any
-    /// compute).
-    pub(crate) fn submit(&self, run: Arc<SessionRun>) -> Result<(), SessionError> {
+    /// Admits a session into the plane. Fails when the config is invalid
+    /// (the caller reports `bad-config` without spending any compute).
+    pub(crate) fn submit(&self, mut run: SessionRun) -> Result<(), SessionError> {
+        let tx_cfg = validate_config(&run.cfg)?;
         let cfg = &run.cfg;
         if cfg.trace != 0 || cfg.telemetry_every > 0 {
-            validate_config(cfg)?;
-            self.gen.push(GenTask::Full(run));
+            self.gen.push(GenTask::Full(Arc::new(run)));
             return Ok(());
         }
-        let tx_cfg = validate_config(cfg)?;
         let n_streams = tx_cfg.mcs.n_streams;
         let burst_len = frame_burst_len(&tx_cfg, cfg.payload_len as usize);
+        let sim = ChannelSim::new(
+            ChannelConfig::awgn(n_streams, n_streams, cfg.snr_db),
+            cfg.seed,
+        );
+        run.psdus = session_psdus(cfg);
         let task = DirectTask {
             tx: Transmitter::new(tx_cfg),
-            sim: ChannelSim::new(
-                ChannelConfig::awgn(n_streams, n_streams, cfg.snr_db),
-                cfg.seed,
-            ),
-            psdus: session_psdus(cfg),
+            sim,
             burst_len,
             n_streams,
             next: 0,
-            run,
+            run: Arc::new(run),
         };
         self.gen.push(GenTask::Direct(Box::new(task)));
         Ok(())
@@ -237,6 +258,7 @@ fn worker_loop(
     // Per-stream-count receiver + scratch: sessions with the same
     // antenna count share one batch call even across MCS presets.
     let mut rx_by_streams: HashMap<usize, (Receiver, RxWorkspace, RxBatch)> = HashMap::new();
+    let mut scratch = GenScratch::default();
     let mut jobs: Vec<DecodeJob> = Vec::with_capacity(BATCH_MAX);
     loop {
         // Decode-first: keep the FEC lanes fed before generating more.
@@ -249,10 +271,11 @@ fn worker_loop(
         }
         if !jobs.is_empty() {
             decode_jobs(&mut jobs, &mut rx_by_streams, shared, shards);
+            scratch.recycle(jobs.drain(..).map(|j| j.bufs));
             continue;
         }
         match gen.pop_timeout(Duration::from_millis(10)) {
-            Some(GenTask::Direct(task)) => generation_turn(*task, gen, decode),
+            Some(GenTask::Direct(task)) => generation_turn(*task, gen, decode, &mut scratch),
             Some(GenTask::Full(run)) => full_session(&run, shared, shards),
             None => {
                 if gen.is_terminated() && decode.is_terminated() {
@@ -260,6 +283,28 @@ fn worker_loop(
                 }
             }
         }
+    }
+}
+
+/// A worker's generation scratch: TX and channel workspaces, the TX
+/// burst, and capture buffers handed back by decoded jobs.
+#[derive(Default)]
+struct GenScratch {
+    tx: TxWorkspace,
+    channel: ChannelWorkspace,
+    /// Per-TX-antenna burst: lead-in, frame, lead-out.
+    burst: Vec<Vec<Complex64>>,
+    /// Decoded jobs' capture buffers, reused for the next bursts.
+    spare: Vec<Vec<Vec<Complex64>>>,
+}
+
+impl GenScratch {
+    /// Spare capture buffers kept per worker: one generation turn's worth.
+    const SPARE_MAX: usize = GEN_WINDOW as usize;
+
+    fn recycle(&mut self, bufs: impl Iterator<Item = Vec<Vec<Complex64>>>) {
+        let room = Self::SPARE_MAX.saturating_sub(self.spare.len());
+        self.spare.extend(bufs.take(room));
     }
 }
 
@@ -272,32 +317,31 @@ fn generation_turn(
     mut task: DirectTask,
     gen: &BoundedQueue<GenTask>,
     decode: &BoundedQueue<DecodeJob>,
+    scratch: &mut GenScratch,
 ) {
     let end = (task.next + GEN_WINDOW).min(task.run.cfg.n_frames);
+    scratch.burst.resize_with(task.n_streams, Vec::new);
     while task.next < end {
         let frame = task.next;
-        let psdu = &task.psdus[frame as usize];
-        let streams = task.tx.transmit(psdu).expect("validated PSDU");
-        let tx_burst: Vec<Vec<Complex64>> = streams
-            .into_iter()
-            .map(|s| {
-                let mut b = Vec::with_capacity(task.burst_len);
-                b.resize(LEAD_IN, Complex64::ZERO);
-                b.extend_from_slice(&s);
-                b.resize(b.len() + LEAD_OUT, Complex64::ZERO);
-                b
-            })
-            .collect();
-        let (rx, _) = task.sim.apply(&tx_burst);
+        let psdu = &task.run.psdus[frame as usize];
+        for b in &mut scratch.burst {
+            b.clear();
+            b.resize(LEAD_IN, Complex64::ZERO);
+        }
+        task.tx
+            .transmit_into(psdu, &mut scratch.tx, &mut scratch.burst)
+            .expect("validated PSDU");
+        for b in &mut scratch.burst {
+            b.resize(b.len() + LEAD_OUT, Complex64::ZERO);
+        }
+        let mut bufs = scratch.spare.pop().unwrap_or_default();
+        task.sim
+            .apply_into(&scratch.burst, &mut scratch.channel, &mut bufs);
         // Channel tails may extend the stream; clip to the burst so the
         // receiver sees exactly what the flowgraph's chunking delivers.
-        let bufs: Vec<Vec<Complex64>> = rx
-            .into_iter()
-            .map(|mut s| {
-                s.truncate(task.burst_len);
-                s
-            })
-            .collect();
+        for s in &mut bufs {
+            s.truncate(task.burst_len);
+        }
         decode.push(DecodeJob {
             run: task.run.clone(),
             frame,
@@ -313,8 +357,9 @@ fn generation_turn(
 
 /// Decodes a drained batch of jobs — grouped by antenna count, each
 /// group one `receive_batch` call, FEC lanes shared across sessions.
+/// Leaves the jobs in place so the caller can recycle their buffers.
 fn decode_jobs(
-    jobs: &mut Vec<DecodeJob>,
+    jobs: &mut [DecodeJob],
     rx_by_streams: &mut HashMap<usize, (Receiver, RxWorkspace, RxBatch)>,
     shared: &EngineShared,
     shards: &[ShardHandle],
@@ -348,7 +393,6 @@ fn decode_jobs(
         }
         start = end;
     }
-    jobs.clear();
 }
 
 /// Lands one frame outcome in its session; the last frame finalizes the
@@ -389,8 +433,7 @@ fn record_result(
             }
         }
     }
-    let psdus = session_psdus(&run.cfg);
-    let stats = score_decoded(&psdus, &decoded);
+    let stats = score_decoded(&run.psdus, &decoded);
     let session = StoredSession {
         frames: decoded,
         stats_json: serde::json::to_string(&stats.serialize()),
@@ -516,4 +559,20 @@ fn engine_telemetry_json(cfg: &SessionConfig) -> String {
         ),
         ("blocks", Value::Array(Vec::new())),
     ]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn decode_queue_outgrows_every_worker_generating_at_once() {
+        for workers in [1usize, 2, 64, 128, 129, 160, 1000] {
+            let depth = decode_queue_depth(workers);
+            assert!(depth > workers * GEN_WINDOW as usize, "{workers} workers");
+            assert!(depth >= DECODE_QUEUE_MIN_DEPTH);
+        }
+        // The default pool keeps the historical depth.
+        assert_eq!(decode_queue_depth(2), DECODE_QUEUE_MIN_DEPTH);
+    }
 }

@@ -30,7 +30,6 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// Outbound buffer high-water mark: replies are encoded from the
 /// `pending` message queue only while the byte buffer is below this, so
@@ -288,7 +287,7 @@ impl Conn {
                 }
                 let shed = active > u64::from(shared.config.shed_threshold);
                 let token = shared.next_token();
-                let run = Arc::new(SessionRun::new(ctx.conn_id, ctx.shard, cfg, token, shed));
+                let run = SessionRun::new(ctx.conn_id, ctx.shard, cfg, token, shed);
                 match ctx.compute.submit(run) {
                     Ok(()) => self.busy = true,
                     Err(e) => {

@@ -1,8 +1,10 @@
-//! Allocation-regression pin for the RX hot path.
+//! Allocation-regression pin for the RX hot path and for frame
+//! generation (TX + channel).
 //!
 //! A counting global allocator wraps `System`; after one warm-up decode
 //! through a given `RxWorkspace`/`RxFrame` pair, a second decode of the
-//! same capture must perform **zero** heap allocations. Any future change
+//! same capture must perform **zero** heap allocations. Likewise a warmed
+//! `transmit_into` + `apply_into` through their workspaces. Any future change
 //! that sneaks a `Vec`, `to_vec` or `collect` back into the per-frame
 //! path fails here with the allocation count, not in a profiler weeks
 //! later.
@@ -19,9 +21,9 @@
 use mimonet::config::TxConfig;
 use mimonet::obs::{frame_trace_id, traced_receive_into, TraceCollector, VirtualLatency};
 use mimonet::telemetry::StageProfile;
-use mimonet::tx::Transmitter;
+use mimonet::tx::{Transmitter, TxWorkspace};
 use mimonet::{Receiver, RxConfig, RxFrame, RxWorkspace};
-use mimonet_channel::{ChannelConfig, ChannelSim};
+use mimonet_channel::{presets, ChannelConfig, ChannelSim, ChannelWorkspace};
 use mimonet_dsp::complex::Complex64;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -195,4 +197,52 @@ fn warmed_receive_into_allocates_nothing() {
         "warmed Receiver::receive_batch must not touch the heap \
          ({allocs} allocations, {reallocs} reallocations)"
     );
+
+    // Same pin for frame generation, the engine's serving path: lead-in,
+    // `transmit_into`, lead-out, `apply_into`, through warmed workspaces
+    // and recycled buffers — on the AWGN preset the engine serves and on
+    // the frequency-selective TGn-D preset the sweeps run.
+    let mut tx_ws = TxWorkspace::new();
+    let mut chan_ws = ChannelWorkspace::new();
+    let mut burst: Vec<Vec<Complex64>> = vec![Vec::new(); 2];
+    let mut capture: Vec<Vec<Complex64>> = Vec::new();
+    for preset in ["awgn", "tgn_d"] {
+        let cfg = presets::channel(preset, 2, 2, 30.0).unwrap();
+        let mut sim = ChannelSim::new(cfg.clone(), 7);
+        let mut generate = |sim: &mut ChannelSim| {
+            for b in &mut burst {
+                b.clear();
+                b.resize(160, Complex64::ZERO);
+            }
+            tx.transmit_into(&psdu, &mut tx_ws, &mut burst).unwrap();
+            for b in &mut burst {
+                b.resize(b.len() + 80, Complex64::ZERO);
+            }
+            sim.apply_into(&burst, &mut chan_ws, &mut capture);
+        };
+        for _ in 0..2 {
+            generate(&mut sim);
+        }
+
+        ALLOCS.store(0, Ordering::SeqCst);
+        REALLOCS.store(0, Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        generate(&mut sim);
+        ARMED.store(false, Ordering::SeqCst);
+
+        let allocs = ALLOCS.load(Ordering::SeqCst);
+        let reallocs = REALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            (allocs, reallocs),
+            (0, 0),
+            "warmed transmit_into + apply_into ({preset}) must not touch the heap \
+             ({allocs} allocations, {reallocs} reallocations)"
+        );
+        // Not vacuous: the third frame is the owned API's third frame.
+        let mut reference = ChannelSim::new(cfg, 7);
+        for _ in 0..2 {
+            reference.apply(&streams);
+        }
+        assert_eq!(capture, reference.apply(&streams).0, "{preset}");
+    }
 }
