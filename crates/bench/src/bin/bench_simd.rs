@@ -11,9 +11,9 @@
 //! 3. **demap** — four-symbols-per-lane soft demapping
 //!    ([`Modulation::demap_soft_x4_into`]) vs four scalar
 //!    [`Modulation::demap_soft_into`] calls.
-//! 4. **viterbi_x4** — the four-frame lane decoder
-//!    ([`ViterbiDecoderX4`]) vs four scalar
-//!    [`ViterbiDecoder::decode_soft_unterminated_into`] walks.
+//! 4. **viterbi_x4** — four frames through the state-parallel butterfly
+//!    kernel ([`ViterbiDecoder::decode_soft_unterminated_into`]) vs four
+//!    closure-driven [`viterbi_reference`] decodes.
 //! 5. **detect_x4** — four-observations-per-lane linear detection
 //!    ([`Prepared::apply_x4_into`]) vs four scalar
 //!    [`Prepared::apply_into`] calls.
@@ -21,7 +21,9 @@
 //! Then the frame-level payoff: **batchN** rows compare the per-frame
 //! cost of [`Receiver::receive_batch`] over N captures against N scalar
 //! [`Receiver::receive_into`] calls, for N in {1, 2, 4, 8, 16} — the
-//! batch-size curve. The N=8 row carries the acceptance target.
+//! batch-size curve. The N=8 row carries the acceptance target. The
+//! Viterbi kernel is as fast for one frame as for many, so
+//! `receive_batch` decodes frame by frame and these rows read ≈1.0×.
 //!
 //! Every pair is checked for *bit-identical* output before timing (the
 //! contract the `tests/simd_equivalence.rs` proptests enforce); a
@@ -49,7 +51,8 @@ use mimonet_dsp::correlate::{
 };
 use mimonet_dsp::fft::Direction;
 use mimonet_dsp::Fft;
-use mimonet_fec::{ConvEncoder, ViterbiDecoder, ViterbiDecoderX4};
+use mimonet_fec::viterbi::reference as viterbi_reference;
+use mimonet_fec::{ConvEncoder, ViterbiDecoder};
 use mimonet_frame::Modulation;
 use serde::{Serialize, Value};
 use std::hint::black_box;
@@ -271,8 +274,7 @@ fn bench_demap(det: bool, opts: &BenchOpts) -> BenchRow {
 }
 
 fn bench_viterbi_x4(det: bool, opts: &BenchOpts) -> BenchRow {
-    // Four equal-length coded streams, one per lane — the shape the
-    // batch FEC layer feeds the lane decoder.
+    // Four coded frames of 1500 data bits.
     let streams: Vec<Vec<f64>> = (0..4usize)
         .map(|lane| {
             let data: Vec<u8> = (0..1500)
@@ -295,26 +297,12 @@ fn bench_viterbi_x4(det: bool, opts: &BenchOpts) -> BenchRow {
         .collect();
 
     let mut dec = ViterbiDecoder::new();
-    let mut want: Vec<Vec<u8>> = vec![Vec::new(); 4];
-    for lane in 0..4 {
-        dec.decode_soft_unterminated_into(&streams[lane], &mut want[lane])
-            .unwrap();
-    }
-    let mut x4 = ViterbiDecoderX4::new();
-    let mut got: Vec<Vec<u8>> = vec![Vec::new(); 4];
-    {
-        let [g0, g1, g2, g3] = &mut got[..] else {
-            unreachable!()
-        };
-        x4.decode_soft_unterminated_x4_into(
-            [&streams[0], &streams[1], &streams[2], &streams[3]],
-            [g0, g1, g2, g3],
-        )
-        .unwrap();
-    }
-    let matches = got == want;
-
     let mut out = Vec::new();
+    let matches = streams.iter().all(|s| {
+        dec.decode_soft_unterminated_into(s, &mut out).unwrap();
+        out == viterbi_reference::decode_soft_unterminated(s).unwrap()
+    });
+
     let (before_ns, after_ns) = if det {
         (None, None)
     } else {
@@ -322,20 +310,14 @@ fn bench_viterbi_x4(det: bool, opts: &BenchOpts) -> BenchRow {
         (
             Some(time_ns(3, iters, || {
                 for s in &streams {
+                    black_box(viterbi_reference::decode_soft_unterminated(s).unwrap());
+                }
+            })),
+            Some(time_ns(3, iters, || {
+                for s in &streams {
                     dec.decode_soft_unterminated_into(s, &mut out).unwrap();
                 }
                 black_box(out.len());
-            })),
-            Some(time_ns(3, iters, || {
-                let [g0, g1, g2, g3] = &mut got[..] else {
-                    unreachable!()
-                };
-                x4.decode_soft_unterminated_x4_into(
-                    [&streams[0], &streams[1], &streams[2], &streams[3]],
-                    [g0, g1, g2, g3],
-                )
-                .unwrap();
-                black_box(got[0].len());
             })),
         )
     };

@@ -228,8 +228,8 @@ pub struct RxBlock {
     tracer: Option<RxTracer>,
     /// Recycled multi-burst state for the untraced path: each `work`
     /// call drains every complete burst, decodes them as one
-    /// [`Receiver::receive_batch`] group (FEC amortized across frames),
-    /// and emits the results in burst order.
+    /// [`Receiver::receive_batch`] group, and emits the results in burst
+    /// order.
     ws: RxWorkspace,
     batch: RxBatch,
     captures: Vec<Vec<Vec<Complex64>>>,
@@ -297,9 +297,9 @@ impl Block for RxBlock {
         let mut progressed = false;
         if self.tracer.is_none() {
             // Untraced path: drain every complete burst, decode them as
-            // one multi-frame batch (FEC amortized across frames), then
-            // publish/emit per burst in arrival order — the exact
-            // messages and output bytes of the per-burst loop below.
+            // one multi-frame batch, then publish/emit per burst in
+            // arrival order — the exact messages and output bytes of the
+            // per-burst loop below.
             let mut count = 0usize;
             while inputs.iter().all(|i| i.available() >= self.burst_len) {
                 let bufs: Vec<Vec<Complex64>> = inputs

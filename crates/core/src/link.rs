@@ -291,9 +291,8 @@ impl LinkSim {
 
     /// Runs `n` frames through the link as one batch, updating `stats`
     /// exactly as `n` [`Self::run_frame`] calls would (same RNG draws,
-    /// same decode results, same accumulation order) while amortizing the
-    /// receiver's FEC stage across frames via
-    /// [`Receiver::receive_batch`].
+    /// same decode results, same accumulation order) through one
+    /// [`Receiver::receive_batch`] call.
     pub fn run_batch(&mut self, n: usize, stats: &mut LinkStats) {
         let mut psdus = Vec::with_capacity(n);
         let mut payloads = Vec::with_capacity(n);

@@ -21,7 +21,7 @@ pub const G1: u32 = 0o171;
 pub const TAIL_BITS: usize = 6;
 
 #[inline]
-fn parity(x: u32) -> u8 {
+const fn parity(x: u32) -> u8 {
     (x.count_ones() & 1) as u8
 }
 
@@ -30,7 +30,7 @@ fn parity(x: u32) -> u8 {
 ///
 /// Returns `(a, b, next_state)`.
 #[inline]
-pub fn encode_step(state: u8, bit: u8) -> (u8, u8, u8) {
+pub const fn encode_step(state: u8, bit: u8) -> (u8, u8, u8) {
     debug_assert!(bit <= 1);
     debug_assert!(state < NUM_STATES as u8);
     // Shift register contents, newest bit first: [bit, s5..s0].

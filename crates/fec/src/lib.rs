@@ -31,5 +31,5 @@ pub use puncture::{
 pub use scrambler::Scrambler;
 pub use viterbi::{
     decode_hard, decode_hard_unterminated, decode_soft, decode_soft_unterminated, Symbol,
-    ViterbiDecoder, ViterbiDecoderX4, ViterbiError,
+    ViterbiDecoder, ViterbiError,
 };

@@ -1,8 +1,9 @@
 //! Viterbi decoding for the K=7 (133, 171) convolutional code.
 //!
-//! Two front ends share one trellis search:
+//! Two front ends share one trellis kernel ([`ViterbiDecoder`]):
 //!
-//! * [`decode_hard`] takes hard bits (0/1) and uses Hamming branch metrics;
+//! * [`decode_hard`] takes hard bits (0/1) and decides exactly as Hamming
+//!   branch metrics would;
 //! * [`decode_soft`] takes log-likelihood ratios (LLRs, positive ⇒ bit 0
 //!   more likely, the convention produced by `mimonet-detect`'s demappers)
 //!   and uses correlation branch metrics, which is the max-likelihood
@@ -20,7 +21,6 @@
 // (matrix/carrier indexing); silence the iterator-style suggestion.
 #![allow(clippy::needless_range_loop)]
 use crate::conv::{encode_step, NUM_STATES, TAIL_BITS};
-use mimonet_dsp::simd::F64x4;
 
 /// One received coded bit for hard-decision decoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,73 +63,313 @@ impl std::fmt::Display for ViterbiError {
 
 impl std::error::Error for ViterbiError {}
 
-/// Precomputed trellis: for each (state, input bit) the next state and the
-/// index of the output pair `(a << 1) | b` into a per-step reward table.
-/// Built once lazily; 64 states is tiny.
-struct Trellis {
-    // [state][input] -> index of the output pair (a, b) as (a << 1) | b.
-    pair_idx: [[usize; 2]; NUM_STATES],
-    // [state][input] -> next state.
-    next: [[u8; 2]; NUM_STATES],
-    // [next_state] -> the two (prev_state, input) branches landing there,
-    // in ascending (prev_state, input) order — the order the forward
-    // state sweep visits them, which fixes compare-select tie-breaking
-    // for the gather-formulated decoders.
-    prev: [[(u8, u8); 2]; NUM_STATES],
+const NEG: f64 = f64::NEG_INFINITY;
+
+/// Butterflies per trellis step: states `2j` and `2j + 1` feed states `j`
+/// (input 0) and `j + 32` (input 1), because the encoder shifts right
+/// (`next = (bit << 5) | (s >> 1)`).
+const BUTTERFLIES: usize = NUM_STATES / 2;
+
+/// Branch-metric masks for two adjacent butterflies, one per lane.
+///
+/// Both generators tap both ends of the shift register, so flipping the
+/// input bit or the state's oldest bit flips both output bits. Branch
+/// `(2j + 1, b)` therefore carries the negated reward of branch `(2j, b)`,
+/// and so does `(2j, 1)` against `(2j, 0)`: the four branches of
+/// butterfly `j` carry `±β_j` with `β_j = bm(2j, 0)`. Per step the reward
+/// of output pair `(a, b)` is `u = r_a(0) + r_b(0)` for `(0, 0)`,
+/// `v = r_a(0) + r_b(1)` for `(0, 1)`, and exactly `−v` and `−u` for
+/// `(1, 0)` and `(1, 1)` (IEEE rounding is sign-symmetric; only the sign
+/// of a zero sum can differ, which no comparison sees), so `β_j` is `u`
+/// or `v` (`use_v` lanes all ones) with the sign bit in `negate` flipped.
+#[derive(Clone, Copy)]
+struct ButterflyMasks {
+    use_v: [u64; 2],
+    negate: [u64; 2],
 }
 
-impl Trellis {
-    fn new() -> Self {
-        let mut pair_idx = [[0usize; 2]; NUM_STATES];
-        let mut next = [[0u8; 2]; NUM_STATES];
-        let mut prev = [[(0u8, 0u8); 2]; NUM_STATES];
-        let mut n_prev = [0usize; NUM_STATES];
-        for s in 0..NUM_STATES {
-            for bit in 0..2usize {
-                let (a, b, ns) = encode_step(s as u8, bit as u8);
-                pair_idx[s][bit] = ((a as usize) << 1) | b as usize;
-                next[s][bit] = ns;
-                let ns = ns as usize;
-                prev[ns][n_prev[ns]] = (s as u8, bit as u8);
-                n_prev[ns] += 1;
-            }
+const BUTTERFLY_MASKS: [ButterflyMasks; BUTTERFLIES / 2] = butterfly_masks();
+
+const fn butterfly_masks() -> [ButterflyMasks; BUTTERFLIES / 2] {
+    let mut masks = [ButterflyMasks {
+        use_v: [0; 2],
+        negate: [0; 2],
+    }; BUTTERFLIES / 2];
+    let mut j = 0;
+    while j < BUTTERFLIES {
+        let s = 2 * j as u8;
+        let (a, b, next) = encode_step(s, 0);
+        // The butterfly structure the kernel is written for, checked at
+        // compile time against the encoder.
+        let (a1, b1, next1) = encode_step(s + 1, 0);
+        let (a2, b2, next2) = encode_step(s, 1);
+        let (a3, b3, next3) = encode_step(s + 1, 1);
+        assert!(next as usize == j && next1 as usize == j);
+        assert!(next2 as usize == j + BUTTERFLIES && next3 as usize == j + BUTTERFLIES);
+        assert!(a1 != a && b1 != b && a2 != a && b2 != b && a3 == a && b3 == b);
+        if a != b {
+            masks[j / 2].use_v[j % 2] = u64::MAX;
         }
-        // A shift-register code: every state has exactly two predecessors.
-        debug_assert!(n_prev.iter().all(|&n| n == 2));
-        Self {
-            pair_idx,
-            next,
-            prev,
+        if a == 1 {
+            masks[j / 2].negate[j % 2] = 1 << 63;
+        }
+        j += 1;
+    }
+    masks
+}
+
+/// Two adjacent butterflies' metrics, one butterfly per lane. Lanes never
+/// mix, and every lane performs exactly the IEEE operation the scalar
+/// formulation names.
+trait Lanes: Copy {
+    fn splat(x: f64) -> Self;
+    /// Loads `m[i..i + 4]` as the even states `(m[i], m[i + 2])` and the
+    /// odd states `(m[i + 1], m[i + 3])` of two butterflies.
+    fn load_even_odd(m: &[f64; NUM_STATES], i: usize) -> (Self, Self);
+    /// Stores the lanes to `m[i..i + 2]`.
+    fn store(self, m: &mut [f64; NUM_STATES], i: usize);
+    fn add(self, b: Self) -> Self;
+    fn sub(self, b: Self) -> Self;
+    /// `if self > b { self } else { b }`, lane-wise: a NaN `self` yields `b`.
+    fn select_gt(self, b: Self) -> Self;
+    /// Bit `l` set where lane `l` of `self > b`.
+    fn gt_bits(self, b: Self) -> u64;
+    /// `β` per lane: `v` where `use_v` is set, else `u`, sign bit flipped
+    /// where `negate` is set.
+    fn branch(u: Self, v: Self, mask: &ButterflyMasks) -> Self;
+}
+
+/// The portable lanes: plain arrays, element-wise. On x86-64 only the
+/// tests run them, against the SSE2 lanes and the oracle.
+#[cfg_attr(
+    all(target_arch = "x86_64", target_feature = "sse2", not(test)),
+    allow(dead_code)
+)]
+#[derive(Clone, Copy)]
+struct PortableLanes([f64; 2]);
+
+impl PortableLanes {
+    #[inline(always)]
+    fn zip(self, b: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        Self([f(self.0[0], b.0[0]), f(self.0[1], b.0[1])])
+    }
+}
+
+impl Lanes for PortableLanes {
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        Self([x; 2])
+    }
+
+    #[inline(always)]
+    fn load_even_odd(m: &[f64; NUM_STATES], i: usize) -> (Self, Self) {
+        (Self([m[i], m[i + 2]]), Self([m[i + 1], m[i + 3]]))
+    }
+
+    #[inline(always)]
+    fn store(self, m: &mut [f64; NUM_STATES], i: usize) {
+        m[i..i + 2].copy_from_slice(&self.0);
+    }
+
+    #[inline(always)]
+    fn add(self, b: Self) -> Self {
+        self.zip(b, |x, y| x + y)
+    }
+
+    #[inline(always)]
+    fn sub(self, b: Self) -> Self {
+        self.zip(b, |x, y| x - y)
+    }
+
+    #[inline(always)]
+    fn select_gt(self, b: Self) -> Self {
+        self.zip(b, |x, y| if x > y { x } else { y })
+    }
+
+    #[inline(always)]
+    fn gt_bits(self, b: Self) -> u64 {
+        (self.0[0] > b.0[0]) as u64 | ((self.0[1] > b.0[1]) as u64) << 1
+    }
+
+    #[inline(always)]
+    fn branch(u: Self, v: Self, mask: &ButterflyMasks) -> Self {
+        Self(std::array::from_fn(|l| {
+            let pick = (u.0[l].to_bits() & !mask.use_v[l]) | (v.0[l].to_bits() & mask.use_v[l]);
+            f64::from_bits(pick ^ mask.negate[l])
+        }))
+    }
+}
+
+/// SSE2 lanes. SSE2 is part of the x86-64 baseline, so this is chosen at
+/// compile time — there is no runtime CPU detection.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+#[derive(Clone, Copy)]
+struct Sse2Lanes(std::arch::x86_64::__m128d);
+
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+impl Lanes for Sse2Lanes {
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: SSE2 is enabled for the whole build.
+        Self(unsafe { _mm_set1_pd(x) })
+    }
+
+    #[inline(always)]
+    fn load_even_odd(m: &[f64; NUM_STATES], i: usize) -> (Self, Self) {
+        use std::arch::x86_64::*;
+        let quad = &m[i..i + 4];
+        // SAFETY: SSE2 is enabled for the whole build (the `cfg` on this
+        // impl); the two unaligned loads read the four elements of `quad`.
+        unsafe {
+            let lo = _mm_loadu_pd(quad.as_ptr());
+            let hi = _mm_loadu_pd(quad.as_ptr().add(2));
+            (Self(_mm_unpacklo_pd(lo, hi)), Self(_mm_unpackhi_pd(lo, hi)))
+        }
+    }
+
+    #[inline(always)]
+    fn store(self, m: &mut [f64; NUM_STATES], i: usize) {
+        use std::arch::x86_64::*;
+        let pair = &mut m[i..i + 2];
+        // SAFETY: SSE2 is enabled for the whole build; the unaligned store
+        // writes the two elements of `pair`.
+        unsafe { _mm_storeu_pd(pair.as_mut_ptr(), self.0) };
+    }
+
+    #[inline(always)]
+    fn add(self, b: Self) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: SSE2 is enabled for the whole build.
+        Self(unsafe { _mm_add_pd(self.0, b.0) })
+    }
+
+    #[inline(always)]
+    fn sub(self, b: Self) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: SSE2 is enabled for the whole build.
+        Self(unsafe { _mm_sub_pd(self.0, b.0) })
+    }
+
+    #[inline(always)]
+    fn select_gt(self, b: Self) -> Self {
+        use std::arch::x86_64::*;
+        // MAXPD returns its first operand only where it compares greater,
+        // and its second operand otherwise — NaN and equal lanes included.
+        // SAFETY: SSE2 is enabled for the whole build.
+        Self(unsafe { _mm_max_pd(self.0, b.0) })
+    }
+
+    #[inline(always)]
+    fn gt_bits(self, b: Self) -> u64 {
+        use std::arch::x86_64::*;
+        // SAFETY: SSE2 is enabled for the whole build.
+        unsafe { _mm_movemask_pd(_mm_cmpgt_pd(self.0, b.0)) as u64 }
+    }
+
+    #[inline(always)]
+    fn branch(u: Self, v: Self, mask: &ButterflyMasks) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: SSE2 is enabled for the whole build; each unaligned load
+        // reads one 16-byte mask array.
+        unsafe {
+            let use_v = _mm_castsi128_pd(_mm_loadu_si128(mask.use_v.as_ptr().cast()));
+            let negate = _mm_castsi128_pd(_mm_loadu_si128(mask.negate.as_ptr().cast()));
+            let pick = _mm_or_pd(_mm_and_pd(use_v, v.0), _mm_andnot_pd(use_v, u.0));
+            Self(_mm_xor_pd(pick, negate))
         }
     }
 }
 
-fn trellis() -> &'static Trellis {
-    use std::sync::OnceLock;
-    static T: OnceLock<Trellis> = OnceLock::new();
-    T.get_or_init(Trellis::new)
+/// The lanes the decoder runs on this target.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+type NativeLanes = Sse2Lanes;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+type NativeLanes = PortableLanes;
+
+/// One add-compare-select step over all 64 states: `metric` → `next`,
+/// given this step's output-pair rewards `u` and `v` (see
+/// [`ButterflyMasks`]). Returns the decision word: bit `s` is set when
+/// target state `s` took its survivor from the odd predecessor
+/// `2·(s & 31) + 1`.
+///
+/// Each target state compares its two candidates in the order the scalar
+/// forward sweep visits them — even predecessor first, against the initial
+/// `−inf`, then odd predecessor against the result, both strictly — so
+/// metrics, decisions and tie-breaks equal the scatter formulation's. A
+/// `−inf` predecessor yields a `−inf` or NaN candidate, which never wins,
+/// exactly like the sweep skipping it.
+#[inline(always)]
+fn acs_step<L: Lanes>(
+    metric: &[f64; NUM_STATES],
+    next: &mut [f64; NUM_STATES],
+    u: f64,
+    v: f64,
+) -> u64 {
+    let (u, v, neg) = (L::splat(u), L::splat(v), L::splat(NEG));
+    let compare_select = |c0: L, c1: L| {
+        let m0 = c0.select_gt(neg);
+        (c1.select_gt(m0), c1.gt_bits(m0))
+    };
+    let mut decisions = 0u64;
+    for (p, mask) in BUTTERFLY_MASKS.iter().enumerate() {
+        let j = 2 * p;
+        let (even, odd) = L::load_even_odd(metric, 2 * j);
+        let beta = L::branch(u, v, mask);
+        let (m, d) = compare_select(even.add(beta), odd.sub(beta));
+        m.store(next, j);
+        decisions |= d << j;
+        let (m, d) = compare_select(even.sub(beta), odd.add(beta));
+        m.store(next, BUTTERFLIES + j);
+        decisions |= d << (BUTTERFLIES + j);
+    }
+    decisions
 }
 
-const NEG: f64 = f64::NEG_INFINITY;
+/// Hard symbol as a correlation LLR: `+1` / `−1` for a received 0 / 1,
+/// `0` for an erasure (or any other byte, which matches neither
+/// hypothesis). The resulting `±½` rewards differ from the Hamming
+/// metric's `1 / 0` by the same constant on every branch of a step, and
+/// all sums are exact in f64, so decisions and ties are the Hamming
+/// decoder's.
+fn hard_llr(s: &Symbol) -> f64 {
+    match s {
+        Symbol::Bit(0) => 1.0,
+        Symbol::Bit(1) => -1.0,
+        _ => 0.0,
+    }
+}
 
-/// A reusable Viterbi decoder holding the metric and survivor buffers.
+/// Checks an input length and returns its trellis step count; terminated
+/// blocks must hold at least the tail.
+fn step_count(len: usize, terminated: bool) -> Result<usize, ViterbiError> {
+    if !len.is_multiple_of(2) {
+        return Err(ViterbiError::OddLength(len));
+    }
+    let steps = len / 2;
+    if terminated && steps < TAIL_BITS {
+        return Err(ViterbiError::TooShort(len));
+    }
+    Ok(steps)
+}
+
+/// A reusable Viterbi decoder: one state-parallel butterfly kernel for
+/// hard and soft input.
 ///
-/// The search is *table-driven*: each trellis step first computes the four
-/// possible output-pair rewards `r(a) + r(b)` once, then every
-/// (state, input) branch is a single table lookup plus add — instead of the
-/// 256 reward-closure invocations per step of the naive formulation (the
-/// "before" side, kept in [`reference`]). The per-pair sums use the same
-/// operands in the same order as the naive code, so decoded outputs are
-/// bit-identical.
+/// Each trellis step is one [`acs_step`] over two-state SIMD lanes (SSE2
+/// on x86-64) and stores one decision bit per state — eight bytes per
+/// step. Hard input runs the same kernel on `±1 / 0` LLRs. Decoded bits
+/// are identical to the closure-driven search kept in [`reference`],
+/// for every f64 input including ±0, subnormals, infinities and NaN.
 ///
 /// Buffers grow to the largest block seen and are then reused; decoding a
 /// warmed decoder into a warmed output vector performs no heap allocation.
 #[derive(Clone, Debug, Default)]
 pub struct ViterbiDecoder {
-    metric: Vec<f64>,
-    next_metric: Vec<f64>,
-    // survivor[t][next_state] = (prev_state, input bit)
-    survivor: Vec<[(u8, u8); NUM_STATES]>,
+    /// Per step, the [`acs_step`] decision word.
+    decisions: Vec<u64>,
+    /// Hard symbols mapped by [`hard_llr`].
+    hard_llrs: Vec<f64>,
 }
 
 impl ViterbiDecoder {
@@ -139,97 +379,85 @@ impl ViterbiDecoder {
         Self::default()
     }
 
-    /// Core search over `num_steps` trellis steps. `pair_rewards(t)` returns
-    /// the four branch rewards for hypothesized output pairs, indexed by
-    /// `(a << 1) | b`. Decoded input bits are appended to `out`.
-    fn search_into(
-        &mut self,
-        num_steps: usize,
-        pair_rewards: impl Fn(usize) -> [f64; 4],
-        terminated: bool,
-        out: &mut Vec<u8>,
-    ) {
-        let tr = trellis();
-        self.metric.clear();
-        self.metric.resize(NUM_STATES, NEG);
-        self.metric[0] = 0.0; // encoder starts in the zero state
-        self.next_metric.clear();
-        self.next_metric.resize(NUM_STATES, NEG);
-        self.survivor.clear();
-        self.survivor.reserve(num_steps);
-
-        for t in 0..num_steps {
-            let pair = pair_rewards(t);
-            self.next_metric.fill(NEG);
-            let mut surv = [(0u8, 0u8); NUM_STATES];
-            for s in 0..NUM_STATES {
-                let m = self.metric[s];
-                if m == NEG {
-                    continue;
-                }
-                for bit in 0..2usize {
-                    let ns = tr.next[s][bit] as usize;
-                    let cand = m + pair[tr.pair_idx[s][bit]];
-                    if cand > self.next_metric[ns] {
-                        self.next_metric[ns] = cand;
-                        surv[ns] = (s as u8, bit as u8);
-                    }
-                }
-            }
-            self.survivor.push(surv);
-            std::mem::swap(&mut self.metric, &mut self.next_metric);
+    /// Trellis search over `llrs.len() / 2` steps; the decoded input bits
+    /// replace `out`'s contents.
+    fn search<L: Lanes>(&mut self, llrs: &[f64], terminated: bool, out: &mut Vec<u8>) {
+        let mut a = [NEG; NUM_STATES];
+        a[0] = 0.0; // encoder starts in the zero state
+        let mut b = [NEG; NUM_STATES];
+        let (mut metric, mut next) = (&mut a, &mut b);
+        self.decisions.clear();
+        for pair in llrs.chunks_exact(2) {
+            // The reward table's operands, in its order: `+llr/2` for
+            // hypothesis 0, `−llr/2` for 1.
+            let a0 = 0.5 * pair[0];
+            let b0 = 0.5 * pair[1];
+            let b1 = -0.5 * pair[1];
+            self.decisions
+                .push(acs_step::<L>(metric, next, a0 + b0, a0 + b1));
+            std::mem::swap(&mut metric, &mut next);
         }
 
-        // Final state: zero for terminated blocks, otherwise best metric.
+        // Final state: zero for terminated blocks, otherwise best metric
+        // (the last of equal maxima; metrics are never NaN).
         let mut state = if terminated {
             0usize
         } else {
-            self.metric
+            metric
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .max_by(|a, b| a.1.partial_cmp(b.1).expect("metrics are never NaN"))
                 .map(|(i, _)| i)
                 .unwrap_or(0)
         };
 
-        let base = out.len();
-        out.resize(base + num_steps, 0);
-        for t in (0..num_steps).rev() {
-            let (prev, bit) = self.survivor[t][state];
-            out[base + t] = bit;
-            state = prev as usize;
+        // A dead state — one no branch survived into, metric `−inf` —
+        // keeps the scatter formulation's initial survivor: state 0, input
+        // bit 0. For state 0 that is exactly what the decision rule below
+        // yields (a dead state's decision bit is 0), and a live state's
+        // survivor is live (a candidate above `−inf` needs a predecessor
+        // above `−inf`). So the only other dead state a traceback can meet
+        // is its start, when every final metric is `−inf` and the argmax
+        // picked state 63: starting from state 0 emits the same bits.
+        if metric[state] == NEG {
+            state = 0;
+        }
+        out.clear();
+        out.resize(self.decisions.len(), 0);
+        for t in (0..self.decisions.len()).rev() {
+            out[t] = (state >> 5) as u8;
+            let odd = (self.decisions[t] >> state) & 1;
+            state = ((state & (BUTTERFLIES - 1)) << 1) | odd as usize;
         }
     }
 
-    /// Per-step reward table for hard symbols: reward 1 for matching a
-    /// received bit, 0 for a mismatch or an erasure — exactly the naive
-    /// `bit_reward` summed over the (a, b) pair.
-    #[inline]
-    fn hard_pair(coded: &[Symbol], t: usize) -> [f64; 4] {
-        let bit = |idx: usize, hyp: u8| match coded[idx] {
-            Symbol::Erased => 0.0,
-            Symbol::Bit(rx) => {
-                if rx == hyp {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        };
-        let (a0, a1) = (bit(2 * t, 0), bit(2 * t, 1));
-        let (b0, b1) = (bit(2 * t + 1, 0), bit(2 * t + 1, 1));
-        [a0 + b0, a0 + b1, a1 + b0, a1 + b1]
+    fn decode_soft_with<L: Lanes>(
+        &mut self,
+        llrs: &[f64],
+        terminated: bool,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ViterbiError> {
+        out.clear();
+        let steps = step_count(llrs.len(), terminated)?;
+        self.search::<L>(llrs, terminated, out);
+        if terminated {
+            out.truncate(steps - TAIL_BITS);
+        }
+        Ok(())
     }
 
-    /// Per-step reward table for soft LLRs: `+llr/2` for hypothesis 0,
-    /// `-llr/2` for 1 (erasures carry LLR 0 and contribute nothing).
-    #[inline]
-    fn soft_pair(llrs: &[f64], t: usize) -> [f64; 4] {
-        let a0 = 0.5 * llrs[2 * t];
-        let a1 = -0.5 * llrs[2 * t];
-        let b0 = 0.5 * llrs[2 * t + 1];
-        let b1 = -0.5 * llrs[2 * t + 1];
-        [a0 + b0, a0 + b1, a1 + b0, a1 + b1]
+    fn decode_hard_with<L: Lanes>(
+        &mut self,
+        coded: &[Symbol],
+        terminated: bool,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ViterbiError> {
+        let mut llrs = std::mem::take(&mut self.hard_llrs);
+        llrs.clear();
+        llrs.extend(coded.iter().map(hard_llr));
+        let res = self.decode_soft_with::<L>(&llrs, terminated, out);
+        self.hard_llrs = llrs;
+        res
     }
 
     /// [`decode_hard`] into a caller-owned vector (cleared first; capacity
@@ -239,17 +467,7 @@ impl ViterbiDecoder {
         coded: &[Symbol],
         out: &mut Vec<u8>,
     ) -> Result<(), ViterbiError> {
-        out.clear();
-        if !coded.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(coded.len()));
-        }
-        let steps = coded.len() / 2;
-        if steps < TAIL_BITS {
-            return Err(ViterbiError::TooShort(coded.len()));
-        }
-        self.search_into(steps, |t| Self::hard_pair(coded, t), true, out);
-        out.truncate(steps - TAIL_BITS);
-        Ok(())
+        self.decode_hard_with::<NativeLanes>(coded, true, out)
     }
 
     /// [`decode_hard_unterminated`] into a caller-owned vector (cleared
@@ -259,16 +477,7 @@ impl ViterbiDecoder {
         coded: &[Symbol],
         out: &mut Vec<u8>,
     ) -> Result<(), ViterbiError> {
-        out.clear();
-        if !coded.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(coded.len()));
-        }
-        let steps = coded.len() / 2;
-        if steps == 0 {
-            return Ok(());
-        }
-        self.search_into(steps, |t| Self::hard_pair(coded, t), false, out);
-        Ok(())
+        self.decode_hard_with::<NativeLanes>(coded, false, out)
     }
 
     /// [`decode_soft`] into a caller-owned vector (cleared first; capacity
@@ -278,17 +487,7 @@ impl ViterbiDecoder {
         llrs: &[f64],
         out: &mut Vec<u8>,
     ) -> Result<(), ViterbiError> {
-        out.clear();
-        if !llrs.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(llrs.len()));
-        }
-        let steps = llrs.len() / 2;
-        if steps < TAIL_BITS {
-            return Err(ViterbiError::TooShort(llrs.len()));
-        }
-        self.search_into(steps, |t| Self::soft_pair(llrs, t), true, out);
-        out.truncate(steps - TAIL_BITS);
-        Ok(())
+        self.decode_soft_with::<NativeLanes>(llrs, true, out)
     }
 
     /// [`decode_soft_unterminated`] into a caller-owned vector (cleared
@@ -298,158 +497,7 @@ impl ViterbiDecoder {
         llrs: &[f64],
         out: &mut Vec<u8>,
     ) -> Result<(), ViterbiError> {
-        out.clear();
-        if !llrs.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(llrs.len()));
-        }
-        let steps = llrs.len() / 2;
-        if steps == 0 {
-            return Ok(());
-        }
-        self.search_into(steps, |t| Self::soft_pair(llrs, t), false, out);
-        Ok(())
-    }
-}
-
-/// A four-frame Viterbi decoder: one frame per SIMD lane.
-///
-/// The add-compare-select over the 64-state trellis is the dominant cost
-/// of the RX tail, and consecutive frames' decodes are fully independent —
-/// so this decoder walks the trellis *once* per step for four equal-length
-/// soft streams, with all metric arithmetic on [`F64x4`] lanes. Each
-/// lane's operation sequence equals the scalar
-/// [`ViterbiDecoder::decode_soft_unterminated_into`]'s exactly:
-///
-/// * the scalar path skips states whose metric is `-inf`; here the lane
-///   computes `cand = -inf + reward = -inf` unconditionally, and the
-///   strict `cand > next` compare-select never fires for `-inf`, which is
-///   the same outcome on every lane;
-/// * branches are visited in the same ascending (state, bit) order, so
-///   compare-select tie-breaking picks the same survivor;
-/// * the final-state argmax and the traceback are run per lane with the
-///   identical code.
-///
-/// The decoder is always compiled and always bit-identical to four scalar
-/// decodes; `receive_batch` uses it in every build.
-#[derive(Clone, Debug, Default)]
-pub struct ViterbiDecoderX4 {
-    metric: Vec<F64x4>,
-    next_metric: Vec<F64x4>,
-    // survivor[t][next_state][lane] = (prev_state << 1) | input bit
-    survivor: Vec<[[u8; 4]; NUM_STATES]>,
-}
-
-impl ViterbiDecoderX4 {
-    /// Creates a decoder with empty scratch buffers (they grow on first
-    /// use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Soft unterminated decode of four equal-length LLR streams, one per
-    /// lane. Each output vector is cleared first (capacity reused) and
-    /// receives exactly what [`decode_soft_unterminated`] would produce
-    /// for its lane's stream, bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the four streams' lengths differ (the batch layer groups
-    /// jobs by mother-code length before calling this).
-    pub fn decode_soft_unterminated_x4_into(
-        &mut self,
-        llrs: [&[f64]; 4],
-        outs: [&mut Vec<u8>; 4],
-    ) -> Result<(), ViterbiError> {
-        let n = llrs[0].len();
-        for l in &llrs {
-            assert_eq!(l.len(), n, "x4 decode requires equal-length streams");
-        }
-        for out in &outs {
-            debug_assert!(out.capacity() >= out.len());
-        }
-        let mut outs = outs;
-        for out in outs.iter_mut() {
-            out.clear();
-        }
-        if !n.is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(n));
-        }
-        let num_steps = n / 2;
-        if num_steps == 0 {
-            return Ok(());
-        }
-
-        let tr = trellis();
-        self.metric.clear();
-        self.metric.resize(NUM_STATES, F64x4::splat(NEG));
-        self.metric[0] = F64x4::ZERO; // encoder starts in the zero state
-        self.next_metric.clear();
-        self.next_metric.resize(NUM_STATES, F64x4::splat(NEG));
-        self.survivor.clear();
-        self.survivor.reserve(num_steps);
-
-        let neg = F64x4::splat(NEG);
-        for t in 0..num_steps {
-            // Per-lane reward table: the same `a + b` sums, in the same
-            // order, as the scalar `soft_pair`.
-            let mut pair = [F64x4::ZERO; 4];
-            for lane in 0..4 {
-                let a0 = 0.5 * llrs[lane][2 * t];
-                let a1 = -0.5 * llrs[lane][2 * t];
-                let b0 = 0.5 * llrs[lane][2 * t + 1];
-                let b1 = -0.5 * llrs[lane][2 * t + 1];
-                pair[0].0[lane] = a0 + b0;
-                pair[1].0[lane] = a0 + b1;
-                pair[2].0[lane] = a1 + b0;
-                pair[3].0[lane] = a1 + b1;
-            }
-            // Gather formulation: each next state has exactly two
-            // predecessor branches; evaluating them in the scalar sweep's
-            // ascending (state, bit) order with strict branchless
-            // compare-selects reproduces the scatter loop's metrics,
-            // survivors, and tie-breaks exactly — without its per-lane
-            // branches or its read-modify-write of `next_metric`.
-            let mut surv = [[0u8; 4]; NUM_STATES];
-            for ns in 0..NUM_STATES {
-                let (p0, b0) = tr.prev[ns][0];
-                let (p1, b1) = tr.prev[ns][1];
-                let c0 = self.metric[p0 as usize] + pair[tr.pair_idx[p0 as usize][b0 as usize]];
-                let c1 = self.metric[p1 as usize] + pair[tr.pair_idx[p1 as usize][b1 as usize]];
-                let code0 = (p0 << 1) | b0;
-                let code1 = (p1 << 1) | b1;
-                let g0 = c0.gt(neg);
-                let m0 = F64x4::select(g0, c0, neg);
-                let g1 = c1.gt(m0);
-                self.next_metric[ns] = F64x4::select(g1, c1, m0);
-                let sv = &mut surv[ns];
-                for lane in 0..4 {
-                    let s0 = if g0[lane] { code0 } else { 0 };
-                    sv[lane] = if g1[lane] { code1 } else { s0 };
-                }
-            }
-            self.survivor.push(surv);
-            std::mem::swap(&mut self.metric, &mut self.next_metric);
-        }
-
-        for (lane, out) in outs.iter_mut().enumerate() {
-            // Identical argmax (last max wins on ties, like the scalar
-            // `max_by`) and traceback, run on this lane's metrics.
-            let mut state = self
-                .metric
-                .iter()
-                .map(|m| m.lane(lane))
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            out.resize(num_steps, 0);
-            for t in (0..num_steps).rev() {
-                let code = self.survivor[t][state][lane];
-                out[t] = code & 1;
-                state = (code >> 1) as usize;
-            }
-        }
-        Ok(())
+        self.decode_soft_with::<NativeLanes>(llrs, false, out)
     }
 }
 
@@ -507,12 +555,43 @@ pub fn decode_soft(llrs: &[f64]) -> Result<Vec<u8>, ViterbiError> {
 }
 
 /// The pre-optimization closure-driven search, kept as the equivalence
-/// oracle for the table-driven decoder (proptests in `tests/`) and as the
+/// oracle for the butterfly kernel (proptests here and in `tests/`) and as the
 /// "before" side of the hot-path benchmark. Allocates fresh metric and
 /// survivor buffers and invokes the reward closure twice per branch —
 /// 256 calls per trellis step.
 pub mod reference {
     use super::*;
+
+    /// Precomputed trellis: for each (state, input bit) the next state and the
+    /// index of the output pair `(a << 1) | b` into a per-step reward table.
+    /// Built once lazily; 64 states is tiny.
+    struct Trellis {
+        // [state][input] -> index of the output pair (a, b) as (a << 1) | b.
+        pair_idx: [[usize; 2]; NUM_STATES],
+        // [state][input] -> next state.
+        next: [[u8; 2]; NUM_STATES],
+    }
+
+    impl Trellis {
+        fn new() -> Self {
+            let mut pair_idx = [[0usize; 2]; NUM_STATES];
+            let mut next = [[0u8; 2]; NUM_STATES];
+            for s in 0..NUM_STATES {
+                for bit in 0..2usize {
+                    let (a, b, ns) = encode_step(s as u8, bit as u8);
+                    pair_idx[s][bit] = ((a as usize) << 1) | b as usize;
+                    next[s][bit] = ns;
+                }
+            }
+            Self { pair_idx, next }
+        }
+    }
+
+    fn trellis() -> &'static Trellis {
+        use std::sync::OnceLock;
+        static T: OnceLock<Trellis> = OnceLock::new();
+        T.get_or_init(Trellis::new)
+    }
 
     fn search(
         num_steps: usize,
@@ -872,53 +951,194 @@ mod tests {
         );
     }
 
+    /// The kernel on the given lanes, into an output vector holding stale
+    /// bits (they must be replaced).
+    fn soft_with<L: Lanes>(llrs: &[f64], terminated: bool) -> Result<Vec<u8>, ViterbiError> {
+        let mut out = vec![1; 5];
+        ViterbiDecoder::new()
+            .decode_soft_with::<L>(llrs, terminated, &mut out)
+            .map(|()| out)
+    }
+
+    fn hard_with<L: Lanes>(coded: &[Symbol], terminated: bool) -> Result<Vec<u8>, ViterbiError> {
+        let mut out = vec![1; 5];
+        ViterbiDecoder::new()
+            .decode_hard_with::<L>(coded, terminated, &mut out)
+            .map(|()| out)
+    }
+
+    fn reference_soft(llrs: &[f64], terminated: bool) -> Result<Vec<u8>, ViterbiError> {
+        if terminated {
+            reference::decode_soft(llrs)
+        } else {
+            reference::decode_soft_unterminated(llrs)
+        }
+    }
+
+    fn reference_hard(coded: &[Symbol], terminated: bool) -> Result<Vec<u8>, ViterbiError> {
+        if terminated {
+            reference::decode_hard(coded)
+        } else {
+            reference::decode_hard_unterminated(coded)
+        }
+    }
+
+    /// Both lane types (SSE2 and portable on x86-64) against the oracle,
+    /// terminated and unterminated; returns the unterminated oracle output.
+    fn assert_soft_matches_reference(llrs: &[f64]) -> Result<Vec<u8>, ViterbiError> {
+        for terminated in [true, false] {
+            let want = reference_soft(llrs, terminated);
+            assert_eq!(
+                soft_with::<NativeLanes>(llrs, terminated),
+                want,
+                "native, {llrs:?}"
+            );
+            assert_eq!(
+                soft_with::<PortableLanes>(llrs, terminated),
+                want,
+                "portable, {llrs:?}"
+            );
+        }
+        reference_soft(llrs, false)
+    }
+
     #[test]
-    fn x4_matches_four_scalar_decodes_bit_for_bit() {
-        let mut x4 = ViterbiDecoderX4::new();
-        let mut scalar = ViterbiDecoder::new();
+    fn portable_and_native_lanes_match_reference_bit_for_bit() {
         for round in 0..12u64 {
             let len = 2 * (TAIL_BITS + 1 + (round as usize * 13) % 100);
-            let streams: Vec<Vec<f64>> = (0..4)
-                .map(|lane| {
-                    let mut l = llr_pattern(len, round.wrapping_mul(0xA5A5).wrapping_add(lane + 1));
-                    // Zero LLRs (depunctured erasures) provoke metric ties —
-                    // the case where survivor tie-breaking must agree.
-                    for i in (lane as usize % 3..len).step_by(4) {
-                        l[i] = 0.0;
-                    }
-                    l
-                })
-                .collect();
-            let mut outs: [Vec<u8>; 4] = Default::default();
-            let [o0, o1, o2, o3] = &mut outs;
-            x4.decode_soft_unterminated_x4_into(
-                [&streams[0], &streams[1], &streams[2], &streams[3]],
-                [o0, o1, o2, o3],
-            )
-            .unwrap();
-            for lane in 0..4 {
-                let mut want = Vec::new();
-                scalar
-                    .decode_soft_unterminated_into(&streams[lane], &mut want)
-                    .unwrap();
-                assert_eq!(outs[lane], want, "round {round} lane {lane}");
+            for lane in 0..4u64 {
+                let mut l = llr_pattern(len, round.wrapping_mul(0xA5A5).wrapping_add(lane + 1));
+                // Zero LLRs (depunctured erasures) provoke metric ties —
+                // the case where survivor tie-breaking must agree.
+                for i in (lane as usize % 3..len).step_by(4) {
+                    l[i] = 0.0;
+                }
+                assert_soft_matches_reference(&l).unwrap();
             }
         }
     }
 
     #[test]
-    fn x4_error_and_empty_cases() {
-        let mut x4 = ViterbiDecoderX4::new();
-        let mut outs: [Vec<u8>; 4] = Default::default();
-        let [o0, o1, o2, o3] = &mut outs;
-        assert_eq!(
-            x4.decode_soft_unterminated_x4_into([&[0.0; 3]; 4], [o0, o1, o2, o3]),
-            Err(ViterbiError::OddLength(3))
-        );
-        let [o0, o1, o2, o3] = &mut outs;
-        x4.decode_soft_unterminated_x4_into([&[]; 4], [o0, o1, o2, o3])
-            .unwrap();
-        assert!(outs.iter().all(|o| o.is_empty()));
+    fn both_lanes_report_errors_and_accept_empty_input() {
+        fn check<L: Lanes>() {
+            assert_eq!(
+                soft_with::<L>(&[0.0; 3], false),
+                Err(ViterbiError::OddLength(3))
+            );
+            assert_eq!(
+                soft_with::<L>(&[0.0; 4], true),
+                Err(ViterbiError::TooShort(4))
+            );
+            assert_eq!(soft_with::<L>(&[], false), Ok(Vec::new()));
+            let syms = [Symbol::Erased; 3];
+            assert_eq!(hard_with::<L>(&syms, true), Err(ViterbiError::OddLength(3)));
+            assert_eq!(
+                hard_with::<L>(&syms[..2], true),
+                Err(ViterbiError::TooShort(2))
+            );
+            assert_eq!(hard_with::<L>(&[], false), Ok(Vec::new()));
+        }
+        check::<NativeLanes>();
+        check::<PortableLanes>();
+    }
+
+    /// Dead states: where no candidate survives (NaN rewards, `+inf` meeting
+    /// `−inf`), every metric of a step can be `−inf`, and the scalar sweep
+    /// leaves such states' survivors at `(state 0, bit 0)`.
+    #[test]
+    fn dead_states_trace_back_like_the_scatter_sweep() {
+        for k in 0..40usize {
+            let mut l = llr_pattern(2 * 40, 0x5EED + k as u64);
+            // NaN kills every state from step k on: the unterminated
+            // traceback starts dead (last of the all-`−inf` maxima, state
+            // 63), whose survivor is (state 0, bit 0) — zeros from step k,
+            // not `63 >> 5 = 1`.
+            l[2 * k + k % 2] = f64::NAN;
+            let want = assert_soft_matches_reference(&l).unwrap();
+            assert!(want[k..].iter().all(|&b| b == 0), "NaN at step {k}");
+
+            // −inf kills the branches expecting a 0 and sends +inf through
+            // the others; later opposite infinities meet and die as NaN,
+            // leaving some states dead and others alive.
+            let mut l = llr_pattern(2 * 40, 0xD1E + k as u64);
+            l[2 * k] = f64::NEG_INFINITY;
+            l[(2 * k + 7) % 80] = f64::INFINITY;
+            l[(2 * k + 30) % 80] = -f64::INFINITY;
+            assert_soft_matches_reference(&l).unwrap();
+        }
+        // State 0 dead at the end of a terminated block: the first step
+        // sends all mass to state 32, which cannot return to 0 within six
+        // steps.
+        let mut l = vec![1.0; 2 * TAIL_BITS];
+        l[0] = f64::NEG_INFINITY;
+        assert_soft_matches_reference(&l).unwrap();
+    }
+
+    /// One LLR from every f64 class the kernel must agree on: ordinary
+    /// magnitudes and erasures (most draws, at a per-stream density of
+    /// exotic values), ±0, subnormals, ±1e300, ±inf, NaN, small integers
+    /// (metric ties), `f64::MIN_POSITIVE` and raw bit patterns.
+    fn llr_of(x: u64, exotic_per_16: u64) -> f64 {
+        let sign = if x & 1 == 1 { -1.0 } else { 1.0 };
+        let payload = x >> 16;
+        if (x >> 1) & 15 >= exotic_per_16 {
+            return if (x >> 8) & 7 == 0 {
+                0.0
+            } else {
+                ((payload & 0xFFFF) as f64 / 65535.0 - 0.5) * 8.0
+            };
+        }
+        match (x >> 5) & 7 {
+            0 => sign * 0.0,
+            1 => sign * f64::from_bits(payload & ((1 << 52) - 1)),
+            2 => sign * 1e300,
+            3 => sign * f64::INFINITY,
+            4 => sign * f64::NAN,
+            5 => sign * (payload % 4) as f64,
+            6 => sign * f64::MIN_POSITIVE,
+            _ => f64::from_bits(payload ^ (x << 48)),
+        }
+    }
+
+    /// A hard symbol: mostly bits, some erasures, and now and then a byte
+    /// other than 0/1 (which matches neither hypothesis).
+    fn symbol_of(x: u64) -> Symbol {
+        match x % 32 {
+            0..=3 => Symbol::Erased,
+            4 => Symbol::Bit((x >> 8) as u8),
+            _ => Symbol::Bit(((x >> 8) & 1) as u8),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn kernel_matches_reference_on_every_f64_class(
+            steps in 0usize..301,
+            exotic_per_16 in 0u64..17,
+            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 600),
+        ) {
+            let llrs: Vec<f64> = raw[..2 * steps].iter().map(|&x| llr_of(x, exotic_per_16)).collect();
+            for terminated in [true, false] {
+                let want = reference_soft(&llrs, terminated);
+                proptest::prop_assert_eq!(soft_with::<NativeLanes>(&llrs, terminated), want.clone());
+                proptest::prop_assert_eq!(soft_with::<PortableLanes>(&llrs, terminated), want);
+            }
+        }
+
+        #[test]
+        fn hard_kernel_matches_hamming_reference(
+            steps in 0usize..301,
+            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 600),
+        ) {
+            let coded: Vec<Symbol> = raw[..2 * steps].iter().map(|&x| symbol_of(x)).collect();
+            for terminated in [true, false] {
+                let want = reference_hard(&coded, terminated);
+                proptest::prop_assert_eq!(hard_with::<NativeLanes>(&coded, terminated), want.clone());
+                proptest::prop_assert_eq!(hard_with::<PortableLanes>(&coded, terminated), want);
+            }
+        }
     }
 
     #[test]

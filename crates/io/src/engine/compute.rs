@@ -1,5 +1,5 @@
 //! The engine's compute plane: a fixed worker pool that executes
-//! admitted sessions and batches FEC work **across sessions**.
+//! admitted sessions and batches decode work **across sessions**.
 //!
 //! A session's DSP is a pure per-frame pipeline (the flowgraph proves
 //! it): PSDU → `Transmitter::transmit` → lead-in/out framing →
@@ -16,11 +16,10 @@
 //!   host, traced) a frame costs ~80 µs in TX and ~400 µs in the AWGN
 //!   channel — mostly Box–Muller's `ln`/`sqrt`/`cos` — against ~800 µs
 //!   in `receive_batch`;
-//! * a **decode turn** drains up to a lane-multiple of decode jobs from
-//!   the shared queue — *regardless of which session they came from* —
-//!   and runs them through one [`Receiver::receive_batch`] call, whose
-//!   deferred-FEC path walks four frames at a time through
-//!   [`ViterbiDecoderX4`]. Batch grouping never changes decode results
+//! * a **decode turn** drains up to [`BATCH_MAX`] decode jobs from the
+//!   shared queue — *regardless of which session they came from* — and
+//!   runs them through one [`Receiver::receive_batch`] call, which
+//!   decodes them frame by frame. Batching never changes decode results
 //!   (pinned bit-identical by `tests/simd_equivalence.rs`), so the
 //!   engine's per-session output is byte-identical to the threaded
 //!   daemon's flowgraph no matter how sessions interleave.
@@ -31,8 +30,6 @@
 //! scheduler-agreement test pins that path byte-identical to the
 //! threaded daemon too, and the worker pool keeps the engine's thread
 //! count constant either way.
-//!
-//! [`ViterbiDecoderX4`]: mimonet_fec::ViterbiDecoderX4
 
 use super::{EngineShared, ShardHandle, TRACE_RING_CAPACITY};
 use crate::queue::{BoundedQueue, OverflowPolicy};
@@ -57,12 +54,13 @@ use std::time::Duration;
 
 /// Frames a generation turn advances one session by. Small enough that
 /// many admitted sessions interleave in the decode queue (that is what
-/// makes the FEC batches cross-session), large enough to amortize the
+/// makes the decode batches cross-session), large enough to amortize the
 /// queue traffic.
 const GEN_WINDOW: u32 = 8;
 
-/// Most decode jobs drained into one `receive_batch` call: two full
-/// `ViterbiDecoderX4` lane groups.
+/// Most decode jobs drained into one `receive_batch` call. Frames decode
+/// one at a time either way; the cap bounds how long one decode turn
+/// holds a worker while amortizing the queue traffic.
 const BATCH_MAX: usize = 8;
 
 /// Floor of the decode queue depth — bounds in-flight burst memory.
@@ -261,7 +259,7 @@ fn worker_loop(
     let mut scratch = GenScratch::default();
     let mut jobs: Vec<DecodeJob> = Vec::with_capacity(BATCH_MAX);
     loop {
-        // Decode-first: keep the FEC lanes fed before generating more.
+        // Decode-first: drain finished bursts before generating more.
         jobs.clear();
         while jobs.len() < BATCH_MAX {
             match decode.try_pop() {
@@ -356,7 +354,7 @@ fn generation_turn(
 }
 
 /// Decodes a drained batch of jobs — grouped by antenna count, each
-/// group one `receive_batch` call, FEC lanes shared across sessions.
+/// group one `receive_batch` call on that count's receiver workspace.
 /// Leaves the jobs in place so the caller can recycle their buffers.
 fn decode_jobs(
     jobs: &mut [DecodeJob],

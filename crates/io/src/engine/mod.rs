@@ -15,7 +15,7 @@
 //!                                    ┌───────────────────┴──┴──┐
 //!                                    │ compute workers 0..M     │
 //!                                    │ gen queue ─▶ decode queue│
-//!                                    │ cross-session FEC batches│
+//!                                    │ cross-session decode     │
 //!                                    └──────────────────────────┘
 //! ```
 //!
@@ -28,8 +28,8 @@
 //! * **Compute plane** ([`compute`]): admitted sessions round-robin
 //!   through a generation queue; their bursts interleave in a decode
 //!   queue drained in cross-session batches through
-//!   `Receiver::receive_batch`, so the `ViterbiDecoderX4` FEC lanes fill
-//!   regardless of which session each frame came from.
+//!   `Receiver::receive_batch`, one receiver workspace per antenna count
+//!   shared by whichever sessions the frames came from.
 //! * **Admission + shedding**: a hard session cap answers
 //!   `give-up-overload`; above the shed threshold data frames are
 //!   withheld (control always flows); per-session token budgets meter
@@ -159,7 +159,7 @@ impl EngineStats {
         session_tokens,
         /// Reply-queue high-water mark of the latest session.
         session_queue_highwater,
-        /// Cross-session FEC batch calls.
+        /// Cross-session decode batch calls.
         decode_batches,
         /// Frames decoded through cross-session batches.
         decode_batched_frames,

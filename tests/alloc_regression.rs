@@ -154,9 +154,9 @@ fn warmed_receive_into_allocates_nothing() {
 
     // Same pin for the multi-frame batch path: once the workspace and
     // batch are warmed on a batch of the same shape, `receive_batch`
-    // (front pipeline, LLR slab, job list, lane Viterbi, outputs) must
-    // run allocation-free — the contract that lets the sweep and linkd
-    // session loops batch every chunk without heap churn.
+    // (front pipeline, Viterbi, outputs) must run allocation-free — the
+    // contract that lets the sweep and linkd session loops batch every
+    // chunk without heap churn.
     let captures: Vec<Vec<Vec<Complex64>>> = (0..8u64)
         .map(|k| {
             let mut sim = ChannelSim::new(ChannelConfig::awgn(2, 2, 30.0), 100 + k);

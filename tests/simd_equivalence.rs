@@ -1,10 +1,11 @@
 //! SIMD/batch equivalence proptests: every vectorized kernel against its
-//! scalar implementation, and the multi-frame batch receive paths
-//! against per-frame decoding.
+//! scalar implementation (the Viterbi kernel against its closure-driven
+//! oracle), and the multi-frame batch receive paths against per-frame
+//! decoding.
 //!
 //! The contract is *bit identity*, not approximate agreement: each lane
 //! of a vectorized kernel owns one independent output (a butterfly, a
-//! lag, a symbol, a Viterbi frame) and performs the scalar operation
+//! lag, a symbol, a trellis state) and performs the scalar operation
 //! sequence exactly, so outputs are compared with `to_bits`/`PartialEq`
 //! on raw `f64`s. The `simd` cargo feature only selects which of the two
 //! identical-result paths the receiver dispatches to — these tests pass
@@ -23,7 +24,8 @@ use mimonet_dsp::correlate::{
 };
 use mimonet_dsp::fft::Direction;
 use mimonet_dsp::Fft;
-use mimonet_fec::{ViterbiDecoder, ViterbiDecoderX4};
+use mimonet_fec::viterbi::reference as viterbi_reference;
+use mimonet_fec::ViterbiDecoder;
 use mimonet_frame::Modulation;
 use proptest::prelude::*;
 
@@ -155,12 +157,12 @@ proptest! {
         prop_assert!(want.iter().zip(&got).all(|(x, y)| bits_eq(*x, *y)));
     }
 
-    /// Lane Viterbi: four equal-length noisy LLR streams decoded by one
-    /// trellis walk against four scalar decodes — including zero LLRs
+    /// Butterfly Viterbi: four noisy LLR streams through one reused
+    /// decoder against the closure-driven oracle — including zero LLRs
     /// (depunctured erasures) and near-tie metrics that would expose any
     /// compare-select or tie-break divergence.
     #[test]
-    fn viterbi_x4_matches_scalar(
+    fn viterbi_matches_reference(
         steps in 1usize..80,
         seed in any::<u64>(),
     ) {
@@ -184,21 +186,11 @@ proptest! {
             })
             .collect();
         let mut dec = ViterbiDecoder::new();
-        let mut want: Vec<Vec<u8>> = vec![Vec::new(); 4];
-        for lane in 0..4 {
-            dec.decode_soft_unterminated_into(&streams[lane], &mut want[lane]).unwrap();
+        let mut got = Vec::new();
+        for stream in &streams {
+            dec.decode_soft_unterminated_into(stream, &mut got).unwrap();
+            prop_assert_eq!(&got, &viterbi_reference::decode_soft_unterminated(stream).unwrap());
         }
-        let mut x4 = ViterbiDecoderX4::new();
-        let mut got: Vec<Vec<u8>> = vec![Vec::new(); 4];
-        {
-            let [g0, g1, g2, g3] = &mut got[..] else { unreachable!() };
-            x4.decode_soft_unterminated_x4_into(
-                [&streams[0], &streams[1], &streams[2], &streams[3]],
-                [g0, g1, g2, g3],
-            )
-            .unwrap();
-        }
-        prop_assert_eq!(got, want);
     }
 
     /// Lane detection: four observations at once against four scalar
@@ -267,10 +259,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// `receive_batch` against per-frame `receive_into` *and* the
-    /// pre-optimization reference receiver, across batch sizes 1..=16
-    /// (every lane-quad/straggler split), mixed MCS (distinct coded
-    /// lengths exercise the equal-length grouping), detector kinds, and
-    /// SNRs low enough to produce mixed Ok/Err slots.
+    /// pre-optimization reference receiver, across batch sizes 1..=16,
+    /// mixed MCS (distinct coded lengths), detector kinds, and SNRs low
+    /// enough to produce mixed Ok/Err slots.
     #[test]
     fn receive_batch_matches_per_frame(
         n in 1usize..17,
@@ -284,7 +275,7 @@ proptest! {
         let mut captures: Vec<Vec<Vec<Complex64>>> = Vec::new();
         for k in 0..n {
             // Mixed batches alternate MCS (different coded lengths);
-            // uniform batches exercise the 4-lane grouping fully.
+            // uniform batches repeat one.
             let mcs = if mixed { 8 + ((mcs_base - 8 + k as u8) % 6) } else { mcs_base };
             let psdu: Vec<u8> = (0..30 + 7 * k).map(|i| (i as u8).wrapping_mul(29)).collect();
             let streams = padded_frame(mcs, &psdu, 60);
@@ -327,8 +318,7 @@ proptest! {
 
     /// `scan_batch` against per-capture `scan`: identical frame lists
     /// (offsets + exact frames) and identical statistics for every
-    /// capture, across capture counts (lane quads + stragglers in the
-    /// cross-capture FEC rounds), frames per capture, and SNR.
+    /// capture, across capture counts, frames per capture, and SNR.
     #[test]
     fn scan_batch_matches_scan(
         n_caps in 1usize..7,
@@ -369,7 +359,7 @@ proptest! {
     }
 }
 
-/// Hard-decoding batches defer nothing to the lane decoder; the batch
+/// Hard-decoding batches run the Viterbi kernel on `±1` LLRs; the batch
 /// path must still agree slot-for-slot with per-frame receives.
 #[test]
 fn receive_batch_matches_hard_decoding() {
