@@ -25,7 +25,7 @@ use mimonet::obs::{SloCounts, SloSpec, TraceCollector, TraceEvent, VirtualLatenc
 use mimonet::{LinkTracer, TraceEventKind};
 use mimonet_bench::report::FigureReport;
 use mimonet_bench::{seeds, BenchOpts};
-use mimonet_io::session::{run_session_observed, Scheduler, SessionObserver};
+use mimonet_io::session::{run_session_observed, SessionObserver};
 use mimonet_io::wire::SessionConfig;
 use serde::{Serialize, Value};
 use std::sync::Arc;
@@ -60,7 +60,6 @@ fn run_arm(n_frames: u32, model: VirtualLatency) -> (Vec<TraceEvent>, SloCounts)
     let collector = Arc::new(TraceCollector::deterministic(n_frames as usize * 16, model));
     let out = run_session_observed(
         &cfg,
-        Scheduler::SingleThread,
         SessionObserver {
             tracer: Some(LinkTracer {
                 collector: collector.clone(),

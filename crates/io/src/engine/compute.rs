@@ -21,20 +21,19 @@
 //!   runs them through one [`Receiver::receive_batch`] call, which
 //!   decodes them frame by frame. Batching never changes decode results
 //!   (pinned bit-identical by `tests/simd_equivalence.rs`), so the
-//!   engine's per-session output is byte-identical to the threaded
-//!   daemon's flowgraph no matter how sessions interleave.
+//!   engine's per-session output is byte-identical to the in-process
+//!   [`crate::session::run_session`] flowgraph no matter how sessions
+//!   interleave.
 //!
 //! Sessions that need the observability plane (`trace != 0` or
-//! `telemetry_every > 0`) fall back to the full flowgraph on the
-//! deterministic single-thread scheduler inside one worker — the
-//! scheduler-agreement test pins that path byte-identical to the
-//! threaded daemon too, and the worker pool keeps the engine's thread
-//! count constant either way.
+//! `telemetry_every > 0`) fall back to that same flowgraph
+//! ([`run_session_observed`]) inside one worker, so the worker pool keeps
+//! the engine's thread count constant either way.
 
 use super::{EngineShared, ShardHandle, TRACE_RING_CAPACITY};
 use crate::queue::{BoundedQueue, OverflowPolicy};
 use crate::session::{
-    run_session_observed, score_decoded, session_psdus, validate_config, Scheduler, SessionError,
+    run_session_observed, score_decoded, session_psdus, validate_config, SessionError,
     SessionObserver,
 };
 use crate::store::StoredSession;
@@ -441,8 +440,8 @@ fn record_result(
     finish(run, session, Vec::new(), shared, shards);
 }
 
-/// Observability fallback: the full flowgraph on the single-thread
-/// scheduler, mirroring the threaded daemon's trace/SLO handling.
+/// Observability fallback: the full session flowgraph on this worker,
+/// with trace collection and SLO grading.
 fn full_session(run: &Arc<SessionRun>, shared: &EngineShared, shards: &[ShardHandle]) {
     let cfg = &run.cfg;
     let collector = (cfg.trace != 0)
@@ -455,7 +454,6 @@ fn full_session(run: &Arc<SessionRun>, shared: &EngineShared, shards: &[ShardHan
     let mut on_update = |round: u32, json: &str| updates.push((round, json.to_string()));
     let res = run_session_observed(
         cfg,
-        Scheduler::SingleThread,
         SessionObserver {
             tracer,
             on_update: (cfg.telemetry_every > 0).then_some(&mut on_update),

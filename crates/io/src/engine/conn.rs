@@ -1,21 +1,20 @@
 //! Per-connection protocol state machine for the async engine.
 //!
-//! One [`Conn`] owns one non-blocking socket and speaks the exact wire
-//! protocol of the threaded daemon — same handshake, same reply
-//! sequences, same typed error reports — but never blocks: reads
-//! accumulate into a buffer that the frame codec ([`crate::wire::decode`])
-//! drains message-by-message, and writes drain an outbound buffer that
-//! replies are encoded into lazily (bounded, so a slow reader cannot
-//! balloon memory).
+//! One [`Conn`] owns one non-blocking socket and speaks the `linkd` wire
+//! protocol — client-first `Hello` handshake, per-session reply
+//! sequences, typed error reports for every wire fault — but never
+//! blocks: reads accumulate into a buffer that the frame codec
+//! ([`crate::wire::decode`]) drains message-by-message, and writes
+//! drain an outbound buffer that replies are encoded into lazily
+//! (bounded, so a slow reader cannot balloon memory).
 //!
 //! A `SessionRequest` marks the connection **busy** and hands the
 //! session to the compute plane; further client messages queue in the
-//! read buffer until the completion comes back — the same one-session-
-//! at-a-time semantics a threaded connection has, without parking a
-//! thread. Data frames stream through a per-session [`BoundedQueue`]
-//! sized by the token budget with [`OverflowPolicy::DropNewest`]: frames
-//! beyond the budget are shed (counted, resumable later), control frames
-//! never are.
+//! read buffer until the completion comes back: one session at a time
+//! per connection, without parking a thread. Data frames stream through
+//! a per-session [`BoundedQueue`] sized by the token budget with
+//! [`OverflowPolicy::DropNewest`]: frames beyond the budget are shed
+//! (counted, resumable later), control frames never are.
 
 use super::compute::{Completion, ComputePlane, SessionRun};
 use super::EngineShared;
@@ -104,8 +103,9 @@ impl Conn {
         self.dead || (self.closing && !self.wants_write()) || (self.read_eof && !self.wants_write())
     }
 
-    /// Connection-deadline check (mirrors the threaded daemon's typed
-    /// `give-up-deadline` close).
+    /// Connection-deadline check: an expired connection gets a typed
+    /// `give-up-deadline` report and closes, so the client re-dials
+    /// rather than waits.
     pub(crate) fn check_deadline(&mut self, ctx: &Ctx<'_>) {
         if self.closing || self.dead {
             return;
@@ -159,10 +159,16 @@ impl Conn {
                     consumed += n;
                     self.handle(msg, ctx);
                 }
-                Err(WireError::Truncated { .. }) => break,
+                // A partial message waits for more bytes, unless the peer
+                // already hung up: then it is a truncated request.
+                Err(WireError::Truncated { .. })
+                    if !self.read_eof || consumed == self.rbuf.len() =>
+                {
+                    break
+                }
                 Err(e) => {
-                    // Bad CRC, desync, oversized frame: typed close, the
-                    // same taxonomy the threaded daemon reports.
+                    // Truncation, bad CRC, desync, oversized frame: typed
+                    // close with the transport fault taxonomy.
                     ctx.shared
                         .stats
                         .protocol_errors
@@ -185,8 +191,7 @@ impl Conn {
         }
     }
 
-    /// One protocol message — the engine's mirror of the threaded
-    /// daemon's `serve_connection` match.
+    /// One protocol message.
     fn handle(&mut self, msg: WireMsg, ctx: &Ctx<'_>) {
         let shared = ctx.shared;
         if !self.hello_done {

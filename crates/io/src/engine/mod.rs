@@ -1,8 +1,8 @@
-//! `mimonet-io::engine` — the event-driven link-session engine.
+//! `mimonet-io::engine` — the event-driven link-session engine behind
+//! `mimonet-linkd`.
 //!
-//! The threaded daemon ([`crate::linkd`]) parks one OS thread per
-//! connection; this engine multiplexes thousands of link sessions over a
-//! fixed thread set:
+//! The engine multiplexes thousands of link sessions over a fixed thread
+//! set, never one thread per connection:
 //!
 //! ```text
 //!             ┌───────────┐   round-robin    ┌─────────────────────┐
@@ -22,9 +22,9 @@
 //! * **Reactor** ([`reactor`]): `poll(2)` readiness over non-blocking
 //!   sockets, a UDP-pair waker, no event-loop dependency.
 //! * **Shards** ([`shard`]): each owns a slice of connections and runs
-//!   their protocol state machines ([`conn`]) — the same wire protocol,
-//!   reply sequences, and [`crate::store::SessionStore`] resumption as
-//!   the threaded daemon, byte-for-byte.
+//!   their protocol state machines ([`conn`]): the wire handshake, the
+//!   per-session reply sequence, typed error reports, and
+//!   [`crate::store::SessionStore`] resumption.
 //! * **Compute plane** ([`compute`]): admitted sessions round-robin
 //!   through a generation queue; their bursts interleave in a decode
 //!   queue drained in cross-session batches through
@@ -38,8 +38,9 @@
 //!   `linkd_shed_total` and resumable later.
 //!
 //! Per-session output (`FrameDecoded` stream + `LinkStats` JSON) is
-//! byte-identical to the threaded daemon — `tests/linkd_engine.rs` pins
-//! it with a property test across MCS/SNR/payload space.
+//! byte-identical to the in-process [`crate::session::run_session`] —
+//! `tests/linkd_engine.rs` pins it with a property test across
+//! MCS/SNR/payload space.
 
 pub mod compute;
 pub mod conn;
@@ -59,13 +60,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Ring capacity of a traced session's event collector (mirrors the
-/// threaded daemon).
+/// Ring capacity of a traced session's event collector: ~16 lifecycle
+/// events per frame, sized for a full-length session before the ring
+/// starts overwriting (drops are counted, never silent).
 pub(crate) const TRACE_RING_CAPACITY: usize = 64 * 1024;
 
-/// Engine service policy. [`Default`] mirrors the threaded daemon's
-/// defaults (no shedding, no admission cap, resume store on) with two
-/// I/O shards and two compute workers.
+/// Engine service policy. [`Default`] disables every limit that could
+/// perturb a session (no shedding, no admission cap, no token budget, no
+/// deadline; resume store on) with two I/O shards and two compute
+/// workers.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Hard admission cap: session requests beyond this many concurrent
@@ -102,9 +105,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Engine-wide counters, shared with monitors via `Arc`. The macro-free
-/// twin of the threaded daemon's `ServerStats`, extended with the
-/// engine's batching and token-budget planes.
+/// Engine-wide counters, shared with monitors via `Arc`: connection and
+/// session accounting plus the engine's batching and token-budget
+/// planes.
 #[derive(Debug, Default)]
 pub struct EngineStats {
     pub(crate) connections: AtomicU64,
@@ -204,10 +207,11 @@ impl EngineShared {
         }
     }
 
-    /// The engine's full metrics surface — the daemon series the
-    /// threaded daemon exports (same names, so dashboards survive an
-    /// engine swap) plus the engine's token-budget, shedding, and
-    /// batching planes.
+    /// The engine's full metrics surface, one typed sample per series —
+    /// the single source both wire formats render from, so Prometheus and
+    /// JSON snapshots can never disagree on a value. The `mimonet_*`
+    /// series cover connections and sessions; the `linkd_*` series the
+    /// token-budget, shedding, and batching planes.
     pub(crate) fn metric_samples(&self) -> Vec<MetricSample> {
         let s = &self.stats;
         vec![

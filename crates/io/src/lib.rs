@@ -21,8 +21,8 @@
 //! * [`session`] — seeded, scoreable link sessions: the shared substrate
 //!   that makes in-process runs, daemon-served runs, and capture replays
 //!   comparable field-for-field.
-//! * [`linkd`] / [`client`] — the `mimonet-linkd` multi-client daemon
-//!   (one supervised flowgraph session per request, concurrent clients
+//! * [`engine`] / [`client`] — the `mimonet-linkd` multi-client daemon
+//!   (poll-driven shards over a shared compute plane, concurrent sessions
 //!   fully isolated, crash-cut sessions resumable by token) and its
 //!   client library, including the policy-driven [`client::ResilientClient`].
 //! * [`resilience`] — the unified give-up taxonomy: [`resilience::Deadline`],
@@ -37,7 +37,6 @@
 pub mod capture;
 pub mod client;
 pub mod engine;
-pub mod linkd;
 pub mod net;
 pub mod netchaos;
 pub mod queue;
@@ -52,7 +51,6 @@ pub use capture::{
 };
 pub use client::{ClientError, LinkClient, ResilientClient, ResilientOutcome, SessionResult};
 pub use engine::{EngineConfig, EngineServer, EngineStats};
-pub use linkd::{LinkServer, ServerConfig, ServerStats};
 pub use net::{
     transport_error, TcpChunkSink, TcpChunkSource, TransportConfig, TransportStats, UdpChunkSink,
     UdpChunkSource,
@@ -64,7 +62,7 @@ pub use store::{SessionStore, StoredSession};
 
 pub use session::{
     build_link_capture, corrupted_frames, run_session, score_decoded, score_scan, session_psdus,
-    sessions_for_load, validate_config, LinkCapture, Scheduler, SessionError, SessionOutcome,
+    sessions_for_load, validate_config, LinkCapture, SessionError, SessionOutcome,
 };
 pub use wire::{
     decode, encode, read_msg, read_msg_opt, write_msg, CaptureMeta, DecodedFrame, HealthReport,

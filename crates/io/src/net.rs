@@ -284,8 +284,7 @@ impl TcpChunkSink {
     }
 
     /// Blocking connect: drives [`Self::poll_reconnect`] to completion,
-    /// sleeping out each backoff window — the thread-per-connection
-    /// daemon's path.
+    /// sleeping out each backoff window — the path every send takes.
     fn ensure_connected(&mut self) -> Result<(), BlockError> {
         loop {
             if self.poll_reconnect()? {
@@ -523,8 +522,8 @@ impl TcpChunkSource {
         }
     }
 
-    /// Wraps an already-established stream (what `mimonet-linkd` uses
-    /// after `accept`).
+    /// Wraps an already-established stream, e.g. one a listener
+    /// accepted.
     pub fn from_stream(stream: TcpStream, n_ant: usize, cfg: TransportConfig) -> Self {
         Self::spawn(stream, n_ant, &cfg)
     }

@@ -7,7 +7,7 @@
 //! herd when many clients reconnect at once), the daemon had no deadline
 //! story, and "we gave up" surfaced as whatever string the layer felt
 //! like. Now one vocabulary runs through the chunk blocks, `LinkClient`,
-//! capture replay, and the `mimonet-linkd` accept loop:
+//! capture replay, and the `mimonet-linkd` connection deadline:
 //!
 //! * [`Deadline`] — a monotonic time budget; `check()` turns expiry into
 //!   a typed [`GiveUp::DeadlineExceeded`].

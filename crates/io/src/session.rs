@@ -34,16 +34,6 @@ const PSDU_SEED_SALT: u64 = mimonet_dsp::seedtree::PSDU_SALT;
 /// Salt for the capture-path channel simulator (mirrors `LinkSim`).
 const CHANNEL_SEED_SALT: u64 = mimonet_dsp::seedtree::CHANNEL_SALT;
 
-/// Which scheduler executes the session flowgraph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Deterministic single-threaded scheduler (`Flowgraph::run`).
-    SingleThread,
-    /// Supervised thread-per-block scheduler (`Flowgraph::run_threaded`)
-    /// — what `mimonet-linkd` uses, one graph per client session.
-    Threaded,
-}
-
 /// A failed session, typed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SessionError {
@@ -120,14 +110,13 @@ pub struct SessionObserver<'a> {
     pub on_update: Option<OnUpdate<'a>>,
 }
 
-/// Runs one session's flowgraph locally and scores it. This is both the
-/// daemon's per-connection body and the reference the loopback tests
-/// compare a served session against.
-pub fn run_session(
-    cfg: &SessionConfig,
-    scheduler: Scheduler,
-) -> Result<SessionOutcome, SessionError> {
-    run_session_observed(cfg, scheduler, SessionObserver::default())
+/// Runs one session's flowgraph locally, on the deterministic
+/// single-thread scheduler (`Flowgraph::run`), and scores it. This is
+/// the reference every served session is pinned against: the engine's
+/// `FrameDecoded` stream and `LinkStats` JSON must match it byte for
+/// byte.
+pub fn run_session(cfg: &SessionConfig) -> Result<SessionOutcome, SessionError> {
+    run_session_observed(cfg, SessionObserver::default())
 }
 
 /// [`run_session`] with the observability plane attached: frame-lifecycle
@@ -139,7 +128,6 @@ pub fn run_session(
 /// mid-flight.
 pub fn run_session_observed(
     cfg: &SessionConfig,
-    scheduler: Scheduler,
     obs: SessionObserver<'_>,
 ) -> Result<SessionOutcome, SessionError> {
     let tx_cfg = validate_config(cfg)?;
@@ -183,10 +171,7 @@ pub fn run_session_observed(
             let progress = hub.subscribe("mimonet.frames");
             let hub_run = hub.clone();
             std::thread::scope(|s| {
-                let worker = s.spawn(move || match scheduler {
-                    Scheduler::SingleThread => fg.run(&hub_run),
-                    Scheduler::Threaded => fg.run_threaded(hub_run.clone()),
-                });
+                let worker = s.spawn(move || fg.run(&hub_run));
                 let mut seen = 0u32;
                 let mut round = 0u32;
                 let mut pump = |seen: &mut u32, round: &mut u32| {
@@ -211,16 +196,12 @@ pub fn run_session_observed(
                 worker.join().expect("session worker panicked")
             })
         }
-        _ => match scheduler {
-            Scheduler::SingleThread => fg.run(&hub),
-            Scheduler::Threaded => fg.run_threaded(hub.clone()),
-        },
+        _ => fg.run(&hub),
     };
     run_res.map_err(|e| SessionError::Graph(e.to_string()))?;
 
     // RxBlock publishes one snr + one frame (+ one trace id when traced)
-    // per decode, from one thread, so the topics pair up positionally
-    // under either scheduler.
+    // per decode, so the topics pair up positionally.
     let frames = frames_sub.drain();
     let snrs = snr_sub.drain();
     let traces: Vec<u64> = trace_sub
@@ -464,23 +445,12 @@ mod tests {
 
     #[test]
     fn clean_session_delivers_every_frame() {
-        let out = run_session(&cfg(), Scheduler::SingleThread).unwrap();
+        let out = run_session(&cfg()).unwrap();
         assert_eq!(out.decoded.len(), 3);
         assert_eq!(out.stats.per.sent(), 3);
         assert_eq!(out.stats.per.ok(), 3);
         assert_eq!(out.stats.outcomes.total(), 3);
         assert!(!out.telemetry.blocks.is_empty());
-    }
-
-    #[test]
-    fn schedulers_agree_bit_for_bit() {
-        let a = run_session(&cfg(), Scheduler::SingleThread).unwrap();
-        let b = run_session(&cfg(), Scheduler::Threaded).unwrap();
-        assert_eq!(a.decoded, b.decoded);
-        assert_eq!(
-            serde::json::to_string(&serde::Serialize::serialize(&a.stats)),
-            serde::json::to_string(&serde::Serialize::serialize(&b.stats)),
-        );
     }
 
     #[test]
@@ -502,7 +472,6 @@ mod tests {
         let mut rounds: Vec<u32> = Vec::new();
         let out = run_session_observed(
             &cfg,
-            Scheduler::Threaded,
             SessionObserver {
                 tracer: Some(LinkTracer {
                     collector: collector.clone(),
@@ -552,10 +521,7 @@ mod tests {
                 ..cfg()
             },
         ] {
-            assert!(matches!(
-                run_session(&bad, Scheduler::SingleThread),
-                Err(SessionError::BadConfig(_))
-            ));
+            assert!(matches!(run_session(&bad), Err(SessionError::BadConfig(_))));
         }
     }
 
@@ -592,7 +558,7 @@ mod tests {
             "session seed must match the scenario engine's link seed"
         );
         // The projected config must actually run.
-        let outcome = run_session(&cfg, Scheduler::SingleThread).expect("runnable");
+        let outcome = run_session(&cfg).expect("runnable");
         assert_eq!(outcome.stats.per.sent(), 5);
 
         let missing = session_from_scenario(&path, "sidelink");

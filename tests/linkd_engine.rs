@@ -1,17 +1,15 @@
-//! Async session engine vs the threaded daemon: per-session output must
-//! be byte-identical (FrameDecoded stream + LinkStats JSON) no matter
-//! how many sessions interleave inside the engine, admission control and
-//! token-budget shedding must behave deterministically, and resumption
-//! must survive mid-stream resets exactly as it does on the threaded
-//! path.
+//! Async session engine vs the in-process session: per-session output
+//! must be byte-identical (FrameDecoded stream + LinkStats JSON) no
+//! matter how many sessions interleave inside the engine, admission
+//! control and token-budget shedding must behave deterministically, and
+//! resumption must survive mid-stream resets.
 
 use mimonet::{frame_trace_id, lint_prometheus};
 use mimonet_io::client::{ClientError, LinkClient, ResilientClient};
 use mimonet_io::engine::{EngineConfig, EngineServer};
-use mimonet_io::linkd::LinkServer;
 use mimonet_io::netchaos::{ChaosProxy, FaultClass};
 use mimonet_io::resilience::RetryPolicy;
-use mimonet_io::session::{corrupted_frames, run_session, Scheduler};
+use mimonet_io::session::{corrupted_frames, run_session};
 use mimonet_io::wire::{SessionConfig, METRICS_JSON, METRICS_PROMETHEUS};
 use proptest::prelude::*;
 use serde::Serialize;
@@ -44,9 +42,9 @@ proptest! {
     /// The tentpole identity: across MCS presets, payload sizes, SNR
     /// regimes (including lossy ones), and seeds, the engine's direct
     /// executor streams the same frames and the same LinkStats JSON as
-    /// the threaded daemon's flowgraph.
+    /// the in-process session flowgraph.
     #[test]
-    fn engine_matches_threaded_daemon_across_config_space(
+    fn engine_matches_local_session_across_config_space(
         mcs in prop_oneof![Just(0u8), Just(4u8), Just(8u8), Just(12u8)],
         payload_exp in 4u32..10,
         snr_db in prop_oneof![Just(2.0f64), Just(10.0), Just(30.0)],
@@ -61,21 +59,16 @@ proptest! {
             ..SessionConfig::default()
         };
 
-        let threaded_server = LinkServer::bind("127.0.0.1:0").unwrap();
-        let mut client = LinkClient::connect(threaded_server.local_addr()).unwrap();
-        let threaded = client.run_session(&c).unwrap();
-        client.close().unwrap();
-        drop(threaded_server);
-
+        let local = run_session(&c).unwrap();
         let engine = engine_session(&c);
 
         prop_assert_eq!(
-            &engine.frames, &threaded.frames,
-            "engine frames must be bit-identical to the threaded daemon"
+            &engine.frames, &local.decoded,
+            "engine frames must be bit-identical to the local run"
         );
         prop_assert_eq!(
-            &engine.stats_json, &threaded.stats_json,
-            "engine LinkStats JSON must be byte-identical to the threaded daemon"
+            &engine.stats_json, &serde::json::to_string(&local.stats.serialize()),
+            "engine LinkStats JSON must be byte-identical to the local run"
         );
     }
 }
@@ -113,7 +106,7 @@ fn concurrent_engine_sessions_are_isolated_and_uncorrupted() {
 
     for h in handles {
         let (c, served) = h.join().unwrap();
-        let local = run_session(&c, Scheduler::Threaded).unwrap();
+        let local = run_session(&c).unwrap();
         assert_eq!(
             served.frames, local.decoded,
             "served frames must match the local run (seed {})",
@@ -159,7 +152,7 @@ fn one_engine_connection_runs_sessions_back_to_back() {
     client.close().unwrap();
     assert_eq!(a.frames, c.frames, "same seed, same session");
     assert_ne!(a.frames, b.frames, "different seed, different PSDUs");
-    let local = run_session(&cfg(7), Scheduler::Threaded).unwrap();
+    let local = run_session(&cfg(7)).unwrap();
     assert_eq!(
         a.stats_json,
         serde::json::to_string(&local.stats.serialize())
@@ -276,7 +269,7 @@ fn shed_threshold_withholds_data_but_streams_control() {
 
     // The shed frames stay retrievable: resume streams them all.
     let resumed = client.resume_session(out.token, 0).unwrap();
-    let local = run_session(&c, Scheduler::Threaded).unwrap();
+    let local = run_session(&c).unwrap();
     assert_eq!(
         resumed.frames, local.decoded,
         "resume after shed must deliver the full byte-identical stream"
@@ -302,7 +295,7 @@ fn token_budget_meters_data_frames_and_resume_drains_the_rest() {
         n_frames: 6,
         ..cfg(71)
     };
-    let local = run_session(&c, Scheduler::Threaded).unwrap();
+    let local = run_session(&c).unwrap();
     assert_eq!(
         local.decoded.len(),
         6,
@@ -393,7 +386,7 @@ fn resume_dedupes_after_a_mid_stream_chaos_reset() {
     // deadline in play the interleaving is fixed: reset, then resume.
     client.read_timeout = Duration::from_secs(120);
     let out = client.run(&c).expect("resilient run must complete");
-    let local = run_session(&c, Scheduler::Threaded).unwrap();
+    let local = run_session(&c).unwrap();
     assert_eq!(
         out.result.frames, local.decoded,
         "frames deduped across resumes must be byte-identical"

@@ -5,8 +5,8 @@
 
 use mimonet::{frame_trace_id, lint_prometheus};
 use mimonet_io::client::{ClientError, LinkClient};
-use mimonet_io::linkd::LinkServer;
-use mimonet_io::session::{run_session, Scheduler};
+use mimonet_io::engine::EngineServer;
+use mimonet_io::session::run_session;
 use mimonet_io::wire::{
     encode, read_msg, write_msg, SessionConfig, WireMsg, METRICS_JSON, METRICS_PROMETHEUS,
     WIRE_VERSION,
@@ -28,13 +28,13 @@ fn cfg(seed: u64) -> SessionConfig {
 }
 
 fn local_stats_json(c: &SessionConfig) -> String {
-    let out = run_session(c, Scheduler::Threaded).unwrap();
+    let out = run_session(c).unwrap();
     serde::json::to_string(&out.stats.serialize())
 }
 
 #[test]
 fn concurrent_sessions_match_local_runs() {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     // 5 concurrent clients, each with a *different* seed: cross-session
@@ -54,7 +54,7 @@ fn concurrent_sessions_match_local_runs() {
 
     for h in handles {
         let (c, served) = h.join().unwrap();
-        let local = run_session(&c, Scheduler::Threaded).unwrap();
+        let local = run_session(&c).unwrap();
         assert_eq!(
             served.frames, local.decoded,
             "served frames must be bit-identical to the local run (seed {})",
@@ -66,10 +66,13 @@ fn concurrent_sessions_match_local_runs() {
             "served LinkStats must match the local run (seed {})",
             c.seed
         );
-        // Per-session telemetry: a real per-block snapshot, not a stub.
-        assert!(served.telemetry_json.contains("mimonet_tx"));
-        assert!(served.telemetry_json.contains("mimonet_rx"));
-        assert!(served.telemetry_json.contains("queue_drops"));
+        // Untraced sessions run on the engine's direct executor: the
+        // terminator reports its execution shape, with no flowgraph
+        // blocks to snapshot.
+        assert!(served
+            .telemetry_json
+            .contains("\"scheduler\":\"engine-direct\""));
+        assert!(served.telemetry_json.contains("\"blocks\":[]"));
     }
 
     let stats = server.shutdown();
@@ -80,7 +83,7 @@ fn concurrent_sessions_match_local_runs() {
 
 #[test]
 fn one_connection_can_run_sessions_back_to_back() {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let mut client = LinkClient::connect(server.local_addr()).unwrap();
     let a = client.run_session(&cfg(7)).unwrap();
     let b = client.run_session(&cfg(8)).unwrap();
@@ -94,7 +97,7 @@ fn one_connection_can_run_sessions_back_to_back() {
 
 #[test]
 fn bad_config_is_refused_and_the_connection_survives() {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let mut client = LinkClient::connect(server.local_addr()).unwrap();
     let bad = SessionConfig { mcs: 99, ..cfg(1) };
     match client.run_session(&bad) {
@@ -118,7 +121,7 @@ fn bad_config_is_refused_and_the_connection_survives() {
 
 #[test]
 fn truncated_request_is_a_typed_error_and_the_daemon_survives() {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     // Handshake by hand, then send half a message and cut the stream.
@@ -156,7 +159,7 @@ fn truncated_request_is_a_typed_error_and_the_daemon_survives() {
 
 #[test]
 fn garbage_bytes_are_a_typed_desync_and_the_daemon_survives() {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     let mut sock = TcpStream::connect(addr).unwrap();
@@ -184,7 +187,7 @@ fn garbage_bytes_are_a_typed_desync_and_the_daemon_survives() {
 
 #[test]
 fn mid_session_disconnect_never_kills_the_daemon() {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     // Request a long session (32 frames streamed back), then vanish
@@ -231,7 +234,7 @@ fn mid_session_disconnect_never_kills_the_daemon() {
 
 #[test]
 fn metrics_probe_serves_lintable_prometheus_and_json() {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let mut client = LinkClient::connect(server.local_addr()).unwrap();
     client.run_session(&cfg(21)).unwrap();
 
@@ -267,7 +270,7 @@ fn metrics_probe_serves_lintable_prometheus_and_json() {
 
 #[test]
 fn queue_highwater_resets_per_session() {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let mut client = LinkClient::connect(server.local_addr()).unwrap();
 
     // A big session fills the reply queue deeper than a small one ever
@@ -297,7 +300,7 @@ fn queue_highwater_resets_per_session() {
 
 #[test]
 fn traced_sessions_correlate_client_and_server_by_trace_id() {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let mut client = LinkClient::connect(server.local_addr()).unwrap();
     let traced = SessionConfig {
         trace: 0x0B5E_u64,
@@ -331,7 +334,7 @@ fn traced_sessions_correlate_client_and_server_by_trace_id() {
 
 #[test]
 fn telemetry_every_streams_one_round_per_threshold() {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let mut client = LinkClient::connect(server.local_addr()).unwrap();
     let streaming = SessionConfig {
         n_frames: 9,
@@ -351,11 +354,16 @@ fn telemetry_every_streams_one_round_per_threshold() {
         assert!(json.starts_with('{'), "round payload is JSON: {json}");
         assert!(json.contains("\"blocks\""));
     }
+    // A streaming session runs the session flowgraph, so its terminator
+    // is a real per-block snapshot, not a stub.
+    assert!(out.telemetry_json.contains("mimonet_tx"));
+    assert!(out.telemetry_json.contains("mimonet_rx"));
+    assert!(out.telemetry_json.contains("queue_drops"));
 }
 
 #[test]
 fn error_reports_carry_the_session_and_give_up_taxonomy() {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let mut client = LinkClient::connect(server.local_addr()).unwrap();
 
     // A resume for a token the server never issued: the typed refusal
